@@ -259,13 +259,10 @@ func benchName(workers int) string {
 	}
 }
 
-// BenchmarkCounting is the paired support-counting benchmark behind the
-// bitmap engine: the same mining run under the row-index-slice path and
-// the bitmap path, on a categorical-heavy workload (where level-1/2
-// candidate covers dominate and AND+popcount pays off) and on a mixed
-// workload (where SDAD-CS box recursion dominates and the bitmap engine
-// must not regress). Both engines produce bit-identical results
-// (TestCountingGoldenEquality); this benchmark is the perf contract.
+// BenchmarkCounting times the bitmap support-counting engine on a
+// categorical-heavy workload (where level-1/2 candidate covers dominate
+// and AND+popcount pays off) and on a mixed workload (where SDAD-CS box
+// recursion dominates).
 func BenchmarkCounting(b *testing.B) {
 	manuf := datagen.Manufacturing(datagen.ManufacturingConfig{
 		Seed: 9, Population: 4000, Failed: 1000, Features: 40,
@@ -293,19 +290,15 @@ func BenchmarkCounting(b *testing.B) {
 		},
 	}
 	for _, w := range workloads {
-		for _, mode := range []core.CountingMode{core.CountingSlice, core.CountingBitmap} {
-			b.Run(w.name+"/"+mode.String(), func(b *testing.B) {
-				cfg := w.cfg
-				cfg.Counting = mode
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res := core.Mine(w.d, cfg)
-					if len(res.Contrasts) == 0 {
-						b.Fatal("no contrasts")
-					}
+		b.Run(w.name+"/bitmap", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := core.Mine(w.d, w.cfg)
+				if len(res.Contrasts) == 0 {
+					b.Fatal("no contrasts")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

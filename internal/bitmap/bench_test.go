@@ -37,16 +37,6 @@ func BenchmarkCoverCountBitmap(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverCountView measures the equivalent row-scan path the miner
-// would otherwise use.
-func BenchmarkCoverCountView(b *testing.B) {
-	d := benchData(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.All().FilterCat(0, 1).FilterCat(1, 2).GroupCounts()
-	}
-}
-
 func BenchmarkIndexBuild(b *testing.B) {
 	d := benchData(100000)
 	b.ResetTimer()

@@ -120,6 +120,13 @@ func testDataset(t *testing.T, n int) *dataset.Dataset {
 		MustBuild()
 }
 
+// filterCat is the row-scan reference for a value bitmap: the view rows
+// where categorical attribute attr has the given domain code.
+func filterCat(v dataset.View, attr, code int) dataset.View {
+	d := v.Dataset()
+	return v.Filter(func(r int) bool { return d.CatCode(attr, r) == code })
+}
+
 func TestIndexMatchesViews(t *testing.T) {
 	d := testDataset(t, 500)
 	ix := NewIndex(d)
@@ -130,7 +137,7 @@ func TestIndexMatchesViews(t *testing.T) {
 	for _, attr := range d.CategoricalAttrs() {
 		for code := range d.Domain(attr) {
 			bmCount := ix.Value(attr, code).Count()
-			viewCount := d.All().FilterCat(attr, code).Len()
+			viewCount := filterCat(d.All(), attr, code).Len()
 			if bmCount != viewCount {
 				t.Errorf("attr %d code %d: bitmap %d vs view %d",
 					attr, code, bmCount, viewCount)
@@ -146,7 +153,7 @@ func TestIndexMatchesViews(t *testing.T) {
 	}
 	// Joint cover: a=a1 AND b=b2.
 	cover := ix.Value(0, 1).And(ix.Value(1, 2))
-	viewCover := d.All().FilterCat(0, 1).FilterCat(1, 2)
+	viewCover := filterCat(filterCat(d.All(), 0, 1), 1, 2)
 	if cover.Count() != viewCover.Len() {
 		t.Errorf("joint cover: %d vs %d", cover.Count(), viewCover.Len())
 	}

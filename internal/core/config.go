@@ -33,41 +33,6 @@ func (m OEMode) String() string {
 	return "paper"
 }
 
-// CountingMode selects the support-counting engine backing the levelwise
-// search. Both engines produce bit-identical results (asserted by the
-// golden-equality tests); the knob exists for A/B benchmarking and as an
-// escape hatch.
-type CountingMode int
-
-const (
-	// CountingAuto (the default) uses the bitmap engine.
-	CountingAuto CountingMode = iota
-	// CountingBitmap counts candidate supports with per-(attr,value)
-	// bitmaps and per-group masks built once per Mine call: node covers
-	// are bitmap intersections and group counts are popcounts (the SciCSM
-	// representation, the paper's ref [29]). SDAD-CS box interiors, which
-	// need raw row indices for medians, materialize lazily.
-	CountingBitmap
-	// CountingSlice is the original row-index-slice path (dataset.View
-	// filters); kept selectable for paired benchmarks.
-	CountingSlice
-)
-
-// String names the mode.
-func (m CountingMode) String() string {
-	switch m {
-	case CountingBitmap:
-		return "bitmap"
-	case CountingSlice:
-		return "slice"
-	default:
-		return "auto"
-	}
-}
-
-// bitmap reports whether the mode resolves to the bitmap engine.
-func (m CountingMode) bitmap() bool { return m != CountingSlice }
-
 // Pruning toggles the individual search-space reduction strategies of
 // §3/§4.3. The zero value disables everything (the basis of SDAD-CS NP).
 type Pruning struct {
@@ -166,10 +131,6 @@ type Config struct {
 	// Workers > 1 mines each level's combinations in parallel (§6's
 	// scaling strategy). Results are merged deterministically.
 	Workers int
-	// Counting selects the support-counting engine (default: bitmap).
-	// CountingSlice restores the row-scan dataset.View path; the two
-	// engines produce identical results.
-	Counting CountingMode
 	// Metrics, when non-nil, receives live instrumentation from the hot
 	// path: per-level node counts and wall times, per-rule prune hits,
 	// SDAD-CS split/box/merge counters and top-k threshold updates. The

@@ -68,9 +68,6 @@ func (c *Config) Validate() error {
 	if c.OEMode != OEModePaper && c.OEMode != OEModeConservative {
 		bad("OEMode", int(c.OEMode), "unknown optimistic-estimate mode")
 	}
-	if c.Counting < CountingAuto || c.Counting > CountingSlice {
-		bad("Counting", int(c.Counting), "unknown counting engine")
-	}
 	for _, a := range c.Attrs {
 		if a < 0 {
 			bad("Attrs", a, "attribute indices must be >= 0")
@@ -84,9 +81,8 @@ func (c *Config) Validate() error {
 // fixed order, with defaults resolved, so that two configs producing the
 // same mining result by construction share a key. Fields that provably do
 // not change the result are excluded: Workers (per-level merge order is
-// deterministic for any worker count), Counting (both engines are
-// bit-identical, asserted by the golden-equality tests), and the
-// observability sinks (Metrics, Trace, PprofLabels).
+// deterministic for any worker count) and the observability sinks
+// (Metrics, Trace, PprofLabels).
 //
 // This key — hashed by CanonicalHash — is what the serving layer's result
 // cache and singleflight deduplication are addressed by.

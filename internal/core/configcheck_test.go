@@ -33,7 +33,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative workers", Config{Workers: -8}, "Workers"},
 		{"bad measure", Config{Measure: pattern.Measure(99)}, "Measure"},
 		{"bad oe mode", Config{OEMode: OEMode(7)}, "OEMode"},
-		{"bad counting", Config{Counting: CountingMode(-1)}, "Counting"},
 		{"negative attr", Config{Attrs: []int{0, -3}}, "Attrs"},
 	}
 	for _, tc := range cases {
@@ -104,9 +103,9 @@ func TestCanonicalKeyDefaultsResolved(t *testing.T) {
 
 func TestCanonicalKeyIgnoresNonSemanticFields(t *testing.T) {
 	base := Config{}
-	variant := Config{Workers: 8, Counting: CountingSlice, PprofLabels: true}
+	variant := Config{Workers: 8, PprofLabels: true}
 	if base.CanonicalHash() != variant.CanonicalHash() {
-		t.Error("Workers/Counting/PprofLabels must not change the canonical hash")
+		t.Error("Workers/PprofLabels must not change the canonical hash")
 	}
 }
 

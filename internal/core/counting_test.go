@@ -9,11 +9,11 @@ import (
 	"sdadcs/internal/metrics"
 )
 
-// TestCountingGoldenEquality: the bitmap and slice support-counting
-// engines must produce bit-identical results — same contrasts in the same
-// order, same supports, same scores and test statistics, same work
-// counters — on both a categorical-heavy and a mixed dataset,
-// sequentially and with parallel workers.
+// TestCountingGoldenEquality: counting supports with parallel per-level
+// workers must give bit-identical results to a single worker — same
+// contrasts in the same order, same supports, same scores and test
+// statistics, same work counters — on both a mixed and a
+// categorical-heavy dataset.
 func TestCountingGoldenEquality(t *testing.T) {
 	cases := []struct {
 		name string
@@ -34,19 +34,14 @@ func TestCountingGoldenEquality(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 8} {
-			cfgSlice := tc.cfg
-			cfgSlice.Workers = workers
-			cfgSlice.Counting = CountingSlice
-			cfgBitmap := tc.cfg
-			cfgBitmap.Workers = workers
-			cfgBitmap.Counting = CountingBitmap
-
-			rs := Mine(tc.d, cfgSlice)
-			rb := Mine(tc.d, cfgBitmap)
+		rs := Mine(tc.d, tc.cfg)
+		for _, workers := range []int{2, 8} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			rb := Mine(tc.d, cfg)
 
 			if len(rs.Contrasts) != len(rb.Contrasts) {
-				t.Errorf("%s workers=%d: slice found %d contrasts, bitmap %d",
+				t.Errorf("%s workers=%d: 1 worker found %d contrasts, parallel %d",
 					tc.name, workers, len(rs.Contrasts), len(rb.Contrasts))
 				continue
 			}
@@ -54,7 +49,7 @@ func TestCountingGoldenEquality(t *testing.T) {
 				a, b := rs.Contrasts[i], rb.Contrasts[i]
 				switch {
 				case a.Set.Key() != b.Set.Key():
-					t.Errorf("%s workers=%d contrast %d: slice %s vs bitmap %s",
+					t.Errorf("%s workers=%d contrast %d: %s vs %s",
 						tc.name, workers, i, a.Set.Key(), b.Set.Key())
 				case !reflect.DeepEqual(a.Supports, b.Supports):
 					t.Errorf("%s workers=%d contrast %d (%s): supports %+v vs %+v",
@@ -70,7 +65,7 @@ func TestCountingGoldenEquality(t *testing.T) {
 					tc.name, workers)
 			}
 			if rs.Stats.PartitionsEvaluated != rb.Stats.PartitionsEvaluated {
-				t.Errorf("%s workers=%d: partitions evaluated %d (slice) vs %d (bitmap)",
+				t.Errorf("%s workers=%d: partitions evaluated %d (1 worker) vs %d (parallel)",
 					tc.name, workers,
 					rs.Stats.PartitionsEvaluated, rb.Stats.PartitionsEvaluated)
 			}
@@ -78,25 +73,24 @@ func TestCountingGoldenEquality(t *testing.T) {
 	}
 }
 
-// TestCountingAutoIsBitmap: the default mode resolves to the bitmap
-// engine, observable through the instrumentation counters.
+// TestCountingAutoIsBitmap: a default-config mine counts supports through
+// the bitmap index, observable through the instrumentation counters.
 func TestCountingAutoIsBitmap(t *testing.T) {
 	d := datagen.Adult(datagen.AdultConfig{Seed: 3, Bachelors: 400, Doctorate: 100})
 	rec := metrics.New()
 	Mine(d, Config{MaxDepth: 2, Metrics: rec})
 	if s := rec.Snapshot(); s.BitmapBuilds == 0 {
-		t.Error("CountingAuto did not build a bitmap index")
+		t.Error("default config did not build a bitmap index")
 	}
 }
 
-// TestCountingBitmapMetrics: a mixed mining run under the bitmap engine
-// exercises all four counters — index builds, cover intersections,
-// popcount passes, and lazy row materializations (SDAD-CS box interiors
-// need raw rows for medians).
+// TestCountingBitmapMetrics: a mixed mining run exercises all four
+// counters — index builds, cover intersections, popcount passes, and lazy
+// row materializations (SDAD-CS box interiors need raw rows for medians).
 func TestCountingBitmapMetrics(t *testing.T) {
 	d := datagen.Adult(datagen.AdultConfig{Seed: 3, Bachelors: 800, Doctorate: 200})
 	rec := metrics.New()
-	Mine(d, Config{MaxDepth: 2, Counting: CountingBitmap, Metrics: rec})
+	Mine(d, Config{MaxDepth: 2, Metrics: rec})
 	s := rec.Snapshot()
 	if s.BitmapBuilds == 0 {
 		t.Error("no bitmap builds recorded")
@@ -111,22 +105,4 @@ func TestCountingBitmapMetrics(t *testing.T) {
 		t.Error("no lazy materializations recorded on a mixed dataset")
 	}
 
-	// The slice engine must leave the bitmap counters untouched.
-	rec2 := metrics.New()
-	Mine(d, Config{MaxDepth: 2, Counting: CountingSlice, Metrics: rec2})
-	s2 := rec2.Snapshot()
-	if s2.BitmapBuilds != 0 || s2.BitmapAndOps != 0 || s2.BitmapPopcounts != 0 || s2.BitmapLazyRows != 0 {
-		t.Errorf("slice engine recorded bitmap work: %+v", s2)
-	}
-}
-
-// TestCountingModeString: the knob renders stable names.
-func TestCountingModeString(t *testing.T) {
-	if CountingAuto.String() != "auto" || CountingBitmap.String() != "bitmap" ||
-		CountingSlice.String() != "slice" {
-		t.Error("counting mode names wrong")
-	}
-	if !CountingAuto.bitmap() || !CountingBitmap.bitmap() || CountingSlice.bitmap() {
-		t.Error("counting mode resolution wrong")
-	}
 }

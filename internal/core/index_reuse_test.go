@@ -8,13 +8,13 @@ import (
 )
 
 // TestIndexReuseAcrossMineCalls: the bitmap index is built once per
-// dataset — the first bitmap-mode Mine pays the build, every later Mine
+// dataset — the first Mine pays the build, every later Mine
 // on the same dataset reuses the cached index and records the reuse.
 func TestIndexReuseAcrossMineCalls(t *testing.T) {
 	d := datagen.Adult(datagen.AdultConfig{Seed: 11, Bachelors: 600, Doctorate: 200})
 
 	rec1 := metrics.New()
-	Mine(d, Config{MaxDepth: 2, Counting: CountingBitmap, Metrics: rec1})
+	Mine(d, Config{MaxDepth: 2, Metrics: rec1})
 	s1 := rec1.Snapshot()
 	if s1.BitmapBuilds == 0 {
 		t.Fatal("first Mine on a fresh dataset did not build the index")
@@ -28,7 +28,7 @@ func TestIndexReuseAcrossMineCalls(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		rec := metrics.New()
-		Mine(d, Config{MaxDepth: 2, Counting: CountingBitmap, Metrics: rec})
+		Mine(d, Config{MaxDepth: 2, Metrics: rec})
 		s := rec.Snapshot()
 		if s.BitmapBuilds != 0 {
 			t.Fatalf("Mine %d rebuilt the index (%d bitmaps)", i+2, s.BitmapBuilds)
@@ -42,7 +42,7 @@ func TestIndexReuseAcrossMineCalls(t *testing.T) {
 	}
 }
 
-// TestArenaMetricsRecorded: a bitmap-mode run over a dataset deep enough
+// TestArenaMetricsRecorded: a run over a dataset deep enough
 // to recycle covers reports the arena's allocation discipline — released
 // covers come back as reuses instead of fresh allocations.
 func TestArenaMetricsRecorded(t *testing.T) {
@@ -50,7 +50,7 @@ func TestArenaMetricsRecorded(t *testing.T) {
 		Seed: 7, Population: 900, Failed: 250, Features: 10,
 	})
 	rec := metrics.New()
-	Mine(d, Config{MaxDepth: 3, Counting: CountingBitmap, Metrics: rec})
+	Mine(d, Config{MaxDepth: 3, Metrics: rec})
 	s := rec.Snapshot()
 	if s.ArenaFresh == 0 {
 		t.Fatal("bitmap run recorded no fresh arena allocations")

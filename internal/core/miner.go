@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -34,36 +33,17 @@ func Mine(d *dataset.Dataset, cfg Config) Result {
 // cancelled. A partial result is still sorted and, unless disabled,
 // filtered.
 func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, error) {
-	res, _, err := mineInternal(ctx, d, cfg, nil)
-	return res, err
-}
-
-// MineIncremental is Mine over a sliding window: prev is the state
-// captured by the previous call over the same window (nil on the first
-// mine or after any structural change), change describes what changed in
-// the dataset since — see ChangeSummary for the truthfulness contract.
-// Node outcomes the change summary proves unchanged are replayed from
-// prev instead of re-evaluated; the result is bit-identical to Mine (same
-// patterns, counts, scores, χ², tie-breaks), only Result.Metrics'
-// evaluation counts differ. The returned state feeds the next call; it is
-// nil when no state could be captured (DFS mode, invalid config).
-func MineIncremental(d *dataset.Dataset, cfg Config, prev *RemineState, change ChangeSummary) (Result, *RemineState) {
-	res, next, _ := mineInternal(context.Background(), d, cfg, &incrementalArgs{prev: prev, change: change})
-	return res, next
-}
-
-// incrementalArgs marks a mineInternal call as incremental; a nil pointer
-// is a plain full mine with no state capture.
-type incrementalArgs struct {
-	prev   *RemineState
-	change ChangeSummary
-}
-
-func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incrementalArgs) (Result, *RemineState, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	cfg.defaults()
+	// The per-(attr,value) bitmaps and per-group masks are cached on the
+	// dataset itself (dataset.Index): the first Mine against a dataset
+	// builds them, every later call — and every serve job sharing the
+	// registry entry — reuses them. Every candidate cover below is an
+	// intersection of these and every support count a popcount against a
+	// group mask.
+	ix, built := bitmap.Shared(d)
 	m := &miner{
 		ctx:   ctx,
 		d:     d,
@@ -73,37 +53,15 @@ func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incr
 		list:  topk.New(cfg.TopK, cfg.scoreFloor()).WithRecorder(cfg.Metrics).WithTracer(cfg.Trace),
 		table: make(pruneTable),
 		memo:  newSupportMemo(d),
+		index: ix,
+		arena: bitmap.NewArena(d.Rows()),
 		rec:   cfg.Metrics,
 		tr:    cfg.Trace,
 	}
-	if inc != nil && !cfg.DFS {
-		// Incremental re-mine: fingerprint the previous state against this
-		// dataset + config; on mismatch the gate still counts (everything
-		// dirty) and a fresh state is captured for the next window either
-		// way. DFS has no levelwise frontier to replay, so it opts out.
-		key := cfg.CanonicalKey()
-		prev := inc.prev
-		if !prev.matches(d, key) {
-			prev = nil
-		}
-		m.gate = newRemineGate(d, inc.change, m.prune, prev)
-		m.next = newRemineState(d, key)
-	}
-	if cfg.Counting.bitmap() {
-		// The per-(attr,value) bitmaps and per-group masks are cached on
-		// the dataset itself (dataset.Index): the first Mine against a
-		// dataset builds them, every later call — and every serve job
-		// sharing the registry entry — reuses them. Every candidate cover
-		// below is an intersection of these and every support count a
-		// popcount against a group mask.
-		ix, built := bitmap.Shared(d)
-		m.index = ix
-		m.arena = bitmap.NewArena(d.Rows())
-		if built {
-			m.rec.BitmapBuilds(ix.NumBitmaps())
-		} else {
-			m.rec.BitmapIndexReuse()
-		}
+	if built {
+		m.rec.BitmapBuilds(ix.NumBitmaps())
+	} else {
+		m.rec.BitmapIndexReuse()
 	}
 	attrs := cfg.Attrs
 	if attrs == nil {
@@ -170,20 +128,10 @@ func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incr
 		m.rec.TraceVolume(m.tr.Stats())
 		res.Trace = m.tr.Snapshot()
 	}
-	if m.arena != nil {
-		st := m.arena.Stats()
-		m.rec.ArenaObserve(st.Fresh, st.Reused, st.Released)
-	}
-	if m.gate != nil {
-		m.rec.RemineGate(m.gate.stable, m.gate.dirty, m.gate.redescended, m.gate.nearCross)
-	}
+	st := m.arena.Stats()
+	m.rec.ArenaObserve(st.Fresh, st.Reused, st.Released)
 	res.Metrics = m.snapshot()
-	if interrupted != nil {
-		// A cancelled mine leaves unevaluated (zero) outcomes in the level
-		// records — never hand those to the next window.
-		m.next = nil
-	}
-	return res, m.next, interrupted
+	return res, interrupted
 }
 
 // miner holds the shared state of one Mine call.
@@ -201,24 +149,19 @@ type miner struct {
 	table pruneTable
 	memo  *supportMemo
 	stats Stats
-	// index is the bitmap support-counting engine (nil = slice engine):
-	// one bitmap per categorical value and per group, cached on the
-	// dataset and built at most once per dataset ever (bitmap.Shared). It
-	// is immutable after construction, so per-level workers — and other
-	// concurrent Mine calls over the same dataset — share it without locks.
+	// index is the support-counting engine: one bitmap per categorical
+	// value and per group, cached on the dataset and built at most once
+	// per dataset ever (bitmap.Shared). It is immutable after
+	// construction, so per-level workers — and other concurrent Mine
+	// calls over the same dataset — share it without locks.
 	index *bitmap.Index
-	// arena recycles cover word blocks across the frontier's AND cascade
-	// (bitmap engine only). Only the serial expansion step touches it;
-	// per-level workers never allocate or release covers.
+	// arena recycles cover word blocks across the frontier's AND cascade.
+	// Only the serial expansion step touches it; per-level workers never
+	// allocate or release covers.
 	arena *bitmap.Arena
 	// spare is the previous level's frontier slice, recycled as the next
 	// expand's output buffer (double-buffered levelwise frontiers).
 	spare []node
-	// gate decides which cached node outcomes an incremental re-mine may
-	// replay, and next accumulates the state handed to the following
-	// window's mine. Both nil on a plain Mine (and under DFS).
-	gate *remineGate
-	next *RemineState
 	// rec is the optional instrumentation sink (nil = disabled). It is
 	// shared with every per-level worker goroutine; all its operations
 	// are atomic.
@@ -246,15 +189,11 @@ func (m *miner) snapshot() *metrics.Snapshot {
 }
 
 // node is one entry of the combination frontier: a categorical value
-// context, the rows it covers, and the continuous attributes to be
-// discretized jointly. catSet.Len() + len(contAttrs) equals the level.
-//
-// The cover is carried in exactly one representation, depending on the
-// counting engine: catCover (a row-index view, slice engine) or bits (a
-// bitmap over the row universe, bitmap engine; nil bits = all rows).
+// context, the rows it covers (bits, a bitmap over the row universe; nil
+// bits = all rows), and the continuous attributes to be discretized
+// jointly. catSet.Len() + len(contAttrs) equals the level.
 type node struct {
 	catSet    pattern.Itemset
-	catCover  dataset.View
 	bits      *bitmap.Set
 	contAttrs []int
 	lastAttr  int
@@ -274,35 +213,26 @@ type nodeOutcome struct {
 }
 
 // levelOne builds the initial frontier: one node per categorical value and
-// one per continuous attribute. With the bitmap engine, a level-1
-// categorical cover is the value's index bitmap itself (shared, never
-// mutated); the slice engine filters row views as before.
+// one per continuous attribute. A level-1 categorical cover is the value's
+// index bitmap itself (shared, never mutated); a continuous node covers
+// the full universe (nil bits).
 func (m *miner) levelOne(attrs []int) []node {
 	var out []node
 	for _, attr := range attrs {
 		if m.d.Attr(attr).Kind == dataset.Categorical {
 			for code := range m.d.Domain(attr) {
-				nd := node{
+				out = append(out, node{
 					catSet:   pattern.NewItemset(pattern.CatItem(attr, code)),
+					bits:     m.index.Value(attr, code),
 					lastAttr: attr,
-				}
-				if m.index != nil {
-					nd.bits = m.index.Value(attr, code)
-				} else {
-					nd.catCover = m.d.All().FilterCat(attr, code)
-				}
-				out = append(out, nd)
+				})
 			}
 		} else {
-			nd := node{
+			out = append(out, node{
 				catSet:    pattern.NewItemset(),
 				contAttrs: []int{attr},
 				lastAttr:  attr,
-			}
-			if m.index == nil {
-				nd.catCover = m.d.All()
-			} // bitmap engine: nil bits = full universe
-			out = append(out, nd)
+			})
 		}
 	}
 	return out
@@ -310,12 +240,11 @@ func (m *miner) levelOne(attrs []int) []node {
 
 // expand generates the next level: every surviving node extended with
 // every attribute after its last (each combination visited exactly once).
-// Under the bitmap engine a parent's categorical extensions are computed
-// by the batched sibling kernel: one fused AND+popcount pass shared by
-// every sibling code, with covers drawn from (and empty covers recycled
-// to) the arena. The slice engine keeps its row scans. Empty covers are
-// dropped either way, and a parent's own cover is recycled as soon as its
-// last child is built — unless a continuous extension aliases it.
+// A parent's categorical extensions are computed by the batched sibling
+// kernel: one fused AND+popcount pass shared by every sibling code, with
+// covers drawn from (and empty covers recycled to) the arena. Empty covers
+// are dropped, and a parent's own cover is recycled as soon as its last
+// child is built — unless a continuous extension aliases it.
 func (m *miner) expand(nodes []node, attrs []int) []node {
 	out := m.spare[:0]
 	m.spare = nil
@@ -329,8 +258,7 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 				continue
 			}
 			if m.d.Attr(attr).Kind == dataset.Categorical {
-				switch {
-				case m.index != nil && nd.bits != nil:
+				if nd.bits != nil {
 					m.rec.BitmapAnds(len(m.d.Domain(attr)))
 					m.index.ChildCovers(nd.bits, attr, m.arena,
 						func(code int, cover *bitmap.Set, count int) {
@@ -342,7 +270,7 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 								owned:     true,
 							})
 						})
-				case m.index != nil:
+				} else {
 					// Parent covers every row: each child cover is the
 					// (shared, immutable) value bitmap itself.
 					for code := range m.d.Domain(attr) {
@@ -357,19 +285,6 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 							bits:      val,
 						})
 					}
-				default:
-					for code := range m.d.Domain(attr) {
-						cover := nd.catCover.FilterCat(attr, code)
-						if cover.Len() == 0 {
-							continue
-						}
-						out = append(out, node{
-							catSet:    nd.catSet.With(pattern.CatItem(attr, code)),
-							contAttrs: nd.contAttrs,
-							lastAttr:  attr,
-							catCover:  cover,
-						})
-					}
 				}
 			} else {
 				conts := make([]int, len(nd.contAttrs), len(nd.contAttrs)+1)
@@ -380,7 +295,6 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 				}
 				out = append(out, node{
 					catSet:    nd.catSet,
-					catCover:  nd.catCover,
 					bits:      nd.bits,
 					contAttrs: conts,
 					lastAttr:  attr,
@@ -402,25 +316,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 	threshold := m.list.Threshold()
 	outcomes := make([]nodeOutcome, len(frontier))
 
-	// Incremental replay pass: fill outcomes the gate proves unchanged
-	// from the previous window's cached state, then evaluate only the
-	// rest. Replayed outcomes flow through the exact same apply loop below
-	// (stats, top-k, lookup table), so the result is bit-identical to a
-	// full mine.
-	var replayed []bool
-	stable := 0
-	if lr := m.gate.enterLevel(level, alpha, threshold); lr != nil {
-		replayed = make([]bool, len(frontier))
-		for i := range frontier {
-			if out, ok := lr.outcome(frontier[i]); ok {
-				outcomes[i] = out
-				replayed[i] = true
-				stable++
-			}
-		}
-	}
-	m.gate.count(level, stable, len(frontier))
-
 	var levelStart time.Time
 	var levelTS int64
 	if m.rec.Enabled() || m.tr.Enabled() {
@@ -432,9 +327,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 		for i := range frontier {
 			if m.cancelled() {
 				break
-			}
-			if replayed != nil && replayed[i] {
-				continue
 			}
 			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], alpha, threshold)
 		}
@@ -465,9 +357,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			}(w)
 		}
 		for i := range frontier {
-			if replayed != nil && replayed[i] {
-				continue
-			}
 			work <- i
 		}
 		close(work)
@@ -491,19 +380,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			// Dead end: its cover feeds the next level's allocations.
 			m.arena.Put(frontier[i].bits)
 		}
-	}
-	if m.next != nil {
-		st := remineLevel{
-			alphaBits:     math.Float64bits(alpha),
-			thresholdBits: math.Float64bits(threshold),
-			nodes:         make(map[string]nodeOutcome, len(frontier)),
-		}
-		for i := range frontier {
-			st.nodes[nodeSignature(frontier[i])] = outcomes[i]
-			st.inserts = append(st.inserts, outcomes[i].inserts...)
-		}
-		m.next.levels = append(m.next.levels, st)
-		m.gate.advanceLevel(level, st.inserts, len(m.table))
 	}
 	if m.rec.Enabled() {
 		m.rec.LevelObserve(level, len(frontier), len(survivors), contrasts,
@@ -587,17 +463,12 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, threshold float64) n
 	}
 }
 
-// coverView returns the node's cover as a row view. Under the bitmap
-// engine this is the lazy materialization fallback: SDAD-CS box interiors
-// need raw row indices for median computation, so a bitmap cover converts
-// to a sorted row slice exactly when (and only when) a continuous
-// combination is handed to Algorithm 1. Bitmap and slice covers enumerate
-// rows in the same ascending order, so both engines feed SDAD-CS identical
-// views.
+// coverView returns the node's cover as a row view — the lazy
+// materialization fallback: SDAD-CS box interiors need raw row indices for
+// median computation, so a bitmap cover converts to an ascending row slice
+// exactly when (and only when) a continuous combination is handed to
+// Algorithm 1.
 func (m *miner) coverView(nd node) dataset.View {
-	if m.index == nil {
-		return nd.catCover
-	}
 	if nd.bits == nil {
 		return m.d.All()
 	}
@@ -606,12 +477,8 @@ func (m *miner) coverView(nd node) dataset.View {
 }
 
 // groupCounts counts the node's cover per group: a popcount of the cover
-// bitmap against every group mask under the bitmap engine, a row scan
-// under the slice engine. Both count exactly the same rows.
+// bitmap against every group mask.
 func (m *miner) groupCounts(nd node) []int {
-	if m.index == nil {
-		return nd.catCover.GroupCounts()
-	}
 	if nd.bits == nil {
 		// Full-universe cover: the group masks are their own counts.
 		counts := make([]int, len(m.sizes))

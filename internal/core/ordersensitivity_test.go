@@ -69,7 +69,6 @@ func TestLevelwiseColumnOrderSensitivity(t *testing.T) {
 			TopK:                 TopKUnbounded,
 			Pruning:              &Pruning{},
 			SkipMeaningfulFilter: true,
-			Counting:             CountingSlice,
 		})
 		if err != nil {
 			t.Fatal(err)

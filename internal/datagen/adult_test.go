@@ -92,7 +92,7 @@ func TestAdultOccupation(t *testing.T) {
 	if profCode == -1 {
 		t.Fatal("Prof-specialty missing from domain")
 	}
-	counts := d.All().FilterCat(occ, profCode).GroupCounts()
+	counts := d.All().Filter(func(r int) bool { return d.CatCode(occ, r) == profCode }).GroupCounts()
 	sDoc := float64(counts[doc]) / float64(sizes[doc])
 	sBach := float64(counts[bach]) / float64(sizes[bach])
 	if math.Abs(sDoc-0.76) > 0.05 {

@@ -34,7 +34,7 @@ func TestManufacturingSignature(t *testing.T) {
 		if code < 0 {
 			t.Fatalf("value %q not in domain of attr %d", value, attr)
 		}
-		counts := d.All().FilterCat(attr, code).GroupCounts()
+		counts := d.All().Filter(func(r int) bool { return d.CatCode(attr, r) == code }).GroupCounts()
 		return float64(counts[pop]) / float64(sizes[pop]),
 			float64(counts[fail]) / float64(sizes[fail])
 	}

@@ -146,7 +146,7 @@ func TestPlantedCategoricalSkew(t *testing.T) {
 	if code < 0 {
 		t.Fatal("v0 not in domain")
 	}
-	counts := d.All().FilterCat(attr, code).GroupCounts()
+	counts := d.All().Filter(func(r int) bool { return d.CatCode(attr, r) == code }).GroupCounts()
 	sizes := d.GroupSizes()
 	sA := float64(counts[d.GroupIndex("a")]) / float64(sizes[d.GroupIndex("a")])
 	sB := float64(counts[d.GroupIndex("b")]) / float64(sizes[d.GroupIndex("b")])

@@ -153,7 +153,7 @@ func TestViewBasics(t *testing.T) {
 
 func TestViewFilters(t *testing.T) {
 	d := sample(t)
-	red := d.All().FilterCat(1, 0) // rows 0, 2, 5
+	red := d.All().Filter(func(r int) bool { return d.CatCode(1, r) == 0 }) // rows 0, 2, 5
 	if red.Len() != 3 {
 		t.Errorf("red.Len = %d", red.Len())
 	}

@@ -71,14 +71,6 @@ func (v View) Filter(pred func(row int) bool) View {
 	return View{ds: v.ds, rows: keep}
 }
 
-// FilterCat returns the view rows where categorical attribute attr has the
-// given domain code.
-func (v View) FilterCat(attr, code int) View {
-	a := v.ds.attrs[attr]
-	col := v.ds.catCols[a.col]
-	return v.Filter(func(row int) bool { return col[row] == code })
-}
-
 // FilterRange returns the view rows where continuous attribute attr lies in
 // (lo, hi] — the half-open interval convention the paper's contrasts use
 // ("l < a <= r"). Use math.Inf for unbounded ends.

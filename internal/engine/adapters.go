@@ -24,16 +24,15 @@ func init() {
 // (also the downstream search config for the mvd and entropy adapters).
 func (c Config) stuccoConfig() stucco.Config {
 	return stucco.Config{
-		Alpha:         c.Alpha,
-		Delta:         c.Delta,
-		MaxDepth:      c.MaxDepth,
-		TopK:          c.TopK,
-		Measure:       c.Measure,
-		Attrs:         c.Attrs,
-		Workers:       c.Workers,
-		SliceCounting: c.Counting == core.CountingSlice,
-		Metrics:       c.Metrics,
-		Trace:         c.Trace,
+		Alpha:    c.Alpha,
+		Delta:    c.Delta,
+		MaxDepth: c.MaxDepth,
+		TopK:     c.TopK,
+		Measure:  c.Measure,
+		Attrs:    c.Attrs,
+		Workers:  c.Workers,
+		Metrics:  c.Metrics,
+		Trace:    c.Trace,
 	}
 }
 
@@ -190,17 +189,16 @@ func (subgroupMiner) Description() string {
 
 func (subgroupMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, error) {
 	res, err := subgroup.MineContext(ctx, d, subgroup.Config{
-		BeamWidth:     cfg.BeamWidth,
-		Depth:         cfg.MaxDepth,
-		Bins:          cfg.Bins,
-		TopK:          cfg.TopK,
-		MinCoverage:   cfg.MinCoverage,
-		MinQuality:    cfg.MinQuality,
-		Measure:       cfg.Measure,
-		Workers:       cfg.Workers,
-		SliceCounting: cfg.Counting == core.CountingSlice,
-		Metrics:       cfg.Metrics,
-		Trace:         cfg.Trace,
+		BeamWidth:   cfg.BeamWidth,
+		Depth:       cfg.MaxDepth,
+		Bins:        cfg.Bins,
+		TopK:        cfg.TopK,
+		MinCoverage: cfg.MinCoverage,
+		MinQuality:  cfg.MinQuality,
+		Measure:     cfg.Measure,
+		Workers:     cfg.Workers,
+		Metrics:     cfg.Metrics,
+		Trace:       cfg.Trace,
 	})
 	out := Result{
 		Contrasts: res.Contrasts,

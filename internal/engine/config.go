@@ -45,10 +45,6 @@ type Config struct {
 	// (sdadcs, stucco).
 	Attrs []int
 
-	// Counting selects the support-counting engine (default bitmap); the
-	// engines are bit-identical, so this is result-neutral.
-	Counting core.CountingMode
-
 	// Subgroup-discovery knobs.
 	BeamWidth   int     // beam width (0 → 100)
 	Bins        int     // equal-frequency boundaries per numeric attribute (0 → 8)
@@ -86,7 +82,6 @@ func (c Config) coreConfig() core.Config {
 		SkipMeaningfulFilter: c.SkipMeaningfulFilter,
 		Attrs:                c.Attrs,
 		Workers:              c.Workers,
-		Counting:             c.Counting,
 		Metrics:              c.Metrics,
 		Trace:                c.Trace,
 	}

@@ -72,7 +72,6 @@ func TestGoldenEngineNeutralKnobs(t *testing.T) {
 					label string
 					mut   func(*engine.Config)
 				}{
-					{"slice-counting", func(c *engine.Config) { c.Counting = core.CountingSlice }},
 					{"workers-8", func(c *engine.Config) { c.Workers = 8 }},
 					{"metrics-and-trace-on", func(c *engine.Config) {
 						c.Metrics = metrics.New()
@@ -140,7 +139,6 @@ func TestGoldenCanonicalKeys(t *testing.T) {
 		neutral := engine.Config{
 			Algorithm: alg,
 			Workers:   8,
-			Counting:  core.CountingSlice,
 			Metrics:   metrics.New(),
 			Trace:     trace.New(1 << 10),
 		}

@@ -13,7 +13,7 @@ package oracle
 // The metamorphic relations differ per baseline and are documented on each
 // check:
 //
-//   - STUCCO / subgroup: bit-equality under engine swap, worker count,
+//   - STUCCO / subgroup: bit-equality under worker count,
 //     instrumentation and row permutation; bit-equality under group
 //     relabeling (the dataset builder assigns group codes by first
 //     appearance, so a transposition of NAMES changes no index); weak
@@ -391,8 +391,8 @@ func RefSTUCCO(d *dataset.Dataset, cfg stucco.Config) STUCCOResult {
 }
 
 // CheckSTUCCO holds production STUCCO to the reference: bit-equality of the
-// full universe on both counting engines, counter equality, and k-prefix
-// equality for the bounded default configuration.
+// full universe, counter equality, and k-prefix equality for the bounded
+// default configuration.
 func CheckSTUCCO(d *dataset.Dataset, cfg stucco.Config) []Divergence {
 	ref := RefSTUCCO(d, cfg)
 	var div []Divergence
@@ -400,21 +400,16 @@ func CheckSTUCCO(d *dataset.Dataset, cfg stucco.Config) []Divergence {
 	exact := cfg
 	exact.TopK = stucco.TopKUnbounded
 	exact.Workers = 1
-	exact.SliceCounting = true
 	got := stucco.Mine(d, exact)
-	div = append(div, diffContrastLists("stucco-exact-slice", got.Contrasts, ref.Contrasts)...)
+	div = append(div, diffContrastLists("stucco-exact-bitmap", got.Contrasts, ref.Contrasts)...)
 	if got.Candidates != ref.Candidates {
-		div = append(div, Divergence{Check: "stucco-exact-slice",
+		div = append(div, Divergence{Check: "stucco-exact-bitmap",
 			Detail: fmt.Sprintf("candidates: production %d, reference %d", got.Candidates, ref.Candidates)})
 	}
 	if got.Pruned != ref.Pruned {
-		div = append(div, Divergence{Check: "stucco-exact-slice",
+		div = append(div, Divergence{Check: "stucco-exact-bitmap",
 			Detail: fmt.Sprintf("pruned: production %d, reference %d", got.Pruned, ref.Pruned)})
 	}
-
-	exact.SliceCounting = false
-	gotBitmap := stucco.Mine(d, exact)
-	div = append(div, diffContrastLists("stucco-exact-bitmap", gotBitmap.Contrasts, ref.Contrasts)...)
 
 	bounded := cfg
 	bounded.Workers = 1
@@ -432,9 +427,9 @@ func CheckSTUCCO(d *dataset.Dataset, cfg stucco.Config) []Divergence {
 }
 
 // CheckSTUCCOBitEquality runs production STUCCO under every configuration
-// pair that must not change a single bit: bitmap vs slice counting, eight
-// workers vs one, instrumentation attached vs nil, a row permutation, and a
-// group-name transposition (group CODES are first-appearance encoded, so a
+// pair that must not change a single bit: eight workers vs one,
+// instrumentation attached vs nil, a row permutation, and a group-name
+// transposition (group CODES are first-appearance encoded, so a
 // rename is invisible to the search).
 func CheckSTUCCOBitEquality(d *dataset.Dataset, cfg stucco.Config, seed int64) []Divergence {
 	base := stucco.Mine(d, cfg)
@@ -447,7 +442,6 @@ func CheckSTUCCOBitEquality(d *dataset.Dataset, cfg stucco.Config, seed int64) [
 		got := stucco.Mine(vd, vcfg)
 		div = append(div, diffContrastLists(check, got.Contrasts, base.Contrasts)...)
 	}
-	variant("stucco-engine-slice-vs-bitmap", d, func(c *stucco.Config) { c.SliceCounting = !c.SliceCounting })
 	variant("stucco-workers-8-vs-1", d, func(c *stucco.Config) { c.Workers = 8 })
 	variant("stucco-instrumentation-on-vs-off", d, func(c *stucco.Config) {
 		c.Metrics = metrics.New()
@@ -737,26 +731,21 @@ func RefSubgroup(d *dataset.Dataset, cfg subgroup.Config) SubgroupResult {
 }
 
 // CheckSubgroup holds the production beam search to the reference:
-// bit-equality of the unbounded pool on both counting engines (plus the
-// evaluation counter) and of the bounded default selection.
+// bit-equality of the unbounded pool (plus the evaluation counter) and of
+// the bounded default selection.
 func CheckSubgroup(d *dataset.Dataset, cfg subgroup.Config) []Divergence {
 	var div []Divergence
 
 	exact := cfg
 	exact.TopK = subgroup.TopKUnbounded
 	exact.Workers = 1
-	exact.SliceCounting = true
 	refU := RefSubgroup(d, exact)
 	got := subgroup.Mine(d, exact)
-	div = append(div, diffContrastLists("subgroup-exact-slice", got.Contrasts, refU.Contrasts)...)
+	div = append(div, diffContrastLists("subgroup-exact-bitmap", got.Contrasts, refU.Contrasts)...)
 	if got.Evaluated != refU.Evaluated {
-		div = append(div, Divergence{Check: "subgroup-exact-slice",
+		div = append(div, Divergence{Check: "subgroup-exact-bitmap",
 			Detail: fmt.Sprintf("evaluated: production %d, reference %d", got.Evaluated, refU.Evaluated)})
 	}
-
-	exact.SliceCounting = false
-	gotBitmap := subgroup.Mine(d, exact)
-	div = append(div, diffContrastLists("subgroup-exact-bitmap", gotBitmap.Contrasts, refU.Contrasts)...)
 
 	bounded := cfg
 	bounded.Workers = 1
@@ -767,7 +756,7 @@ func CheckSubgroup(d *dataset.Dataset, cfg subgroup.Config) []Divergence {
 }
 
 // CheckSubgroupBitEquality mirrors the STUCCO battery for the beam search:
-// engine swap, worker count, instrumentation, row permutation (quantile
+// worker count, instrumentation, row permutation (quantile
 // boundaries come from sorted values) and group relabeling must all be
 // bit-neutral.
 func CheckSubgroupBitEquality(d *dataset.Dataset, cfg subgroup.Config, seed int64) []Divergence {
@@ -781,7 +770,6 @@ func CheckSubgroupBitEquality(d *dataset.Dataset, cfg subgroup.Config, seed int6
 		got := subgroup.Mine(vd, vcfg)
 		div = append(div, diffContrastLists(check, got.Contrasts, base.Contrasts)...)
 	}
-	variant("subgroup-engine-slice-vs-bitmap", d, func(c *subgroup.Config) { c.SliceCounting = !c.SliceCounting })
 	variant("subgroup-workers-8-vs-1", d, func(c *subgroup.Config) { c.Workers = 8 })
 	variant("subgroup-instrumentation-on-vs-off", d, func(c *subgroup.Config) {
 		c.Metrics = metrics.New()

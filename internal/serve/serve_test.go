@@ -384,11 +384,11 @@ func TestResultCacheHit(t *testing.T) {
 	_, res1 := c.do("GET", "/v1/jobs/"+first.ID+"/result", nil)
 	base := c.metrics()
 
-	// Same semantics, different wire spelling (workers and counting are
-	// excluded from the canonical key — they cannot change the result).
+	// Same semantics, different wire spelling (workers is excluded from
+	// the canonical key — it cannot change the result).
 	second, code, body := c.submit(map[string]any{
 		"dataset_id": dsID,
-		"config":     map[string]any{"workers": 4, "counting": "slice"},
+		"config":     map[string]any{"workers": 4},
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("second submit: %d %s", code, body)
@@ -406,6 +406,24 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	if m.CacheHits-base.CacheHits != 1 {
 		t.Fatalf("cache hits delta = %d, want 1", m.CacheHits-base.CacheHits)
+	}
+
+	// A body still carrying the retired "counting" knob is an unknown
+	// field: ignored, so it names the same config and the same bytes.
+	third, code, body := c.submit(map[string]any{
+		"dataset_id": dsID,
+		"config":     map[string]any{"counting": "slice"},
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with counting: %d %s", code, body)
+	}
+	if third.ConfigHash != first.ConfigHash {
+		t.Fatalf("counting changed config_hash: %s vs %s", third.ConfigHash, first.ConfigHash)
+	}
+	c.waitState(third.ID, JobDone, 10*time.Second)
+	_, res3 := c.do("GET", "/v1/jobs/"+third.ID+"/result", nil)
+	if !bytes.Equal(res1, res3) {
+		t.Fatal("counting changed the /result bytes")
 	}
 }
 
@@ -530,10 +548,9 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]map[string]any{
-		"bad measure":  {"measure": "zscore"},
-		"bad oe_mode":  {"oe_mode": "wild"},
-		"bad counting": {"counting": "gpu"},
-		"bad attr":     {"attrs": []string{"no_such_column"}},
+		"bad measure": {"measure": "zscore"},
+		"bad oe_mode": {"oe_mode": "wild"},
+		"bad attr":    {"attrs": []string{"no_such_column"}},
 	} {
 		if _, code, _ := c.submit(map[string]any{"dataset_id": dsID, "config": cfg}); code != http.StatusBadRequest {
 			t.Fatalf("%s: %d, want 400", name, code)
@@ -783,7 +800,7 @@ func TestAlgorithmCacheEquivalence(t *testing.T) {
 	// plus result-neutral knobs flipped: one canonical key, zero executions.
 	second, res2 := run(map[string]any{
 		"algorithm": "stucco", "alpha": 0.05, "top_k": 100,
-		"measure": "diff", "workers": 8, "counting": "slice",
+		"measure": "diff", "workers": 8,
 	})
 	if !second.CacheHit {
 		t.Fatalf("equivalent spelling was not a cache hit: %+v", second)

@@ -9,11 +9,10 @@
 //
 // Like the core miner and the STUCCO baseline, the beam search rides the
 // shared engine substrate: candidate covers are bitmap intersections
-// against per-condition bitmaps by default (the row-slice path stays
-// selectable for paired benchmarks and the oracle's engine-swap battery),
-// per-level candidate counting fans out over Workers goroutines with a
-// deterministic merge, and the metrics recorder and trace ring receive the
-// same instrumentation as everywhere else.
+// against per-condition bitmaps, per-level candidate counting fans out
+// over Workers goroutines with a deterministic merge, and the metrics
+// recorder and trace ring receive the same instrumentation as everywhere
+// else.
 package subgroup
 
 import (
@@ -65,10 +64,6 @@ type Config struct {
 	// admission and beam selection stay serial, so any worker count is
 	// bit-identical to the serial search.
 	Workers int
-	// SliceCounting selects the row-slice cover path (dataset.View
-	// filters) instead of per-condition bitmaps. Both produce identical
-	// results.
-	SliceCounting bool
 	// Metrics, when non-nil, receives per-level candidate counts, wall
 	// times and top-k threshold updates.
 	Metrics *metrics.Recorder
@@ -130,16 +125,14 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		rec:   cfg.Metrics,
 		tr:    cfg.Trace,
 	}
-	if !cfg.SliceCounting {
-		var built bool
-		m.idx, built = bitmap.Shared(d)
-		if built {
-			m.rec.BitmapBuilds(m.idx.NumBitmaps())
-		} else {
-			m.rec.BitmapIndexReuse()
-		}
-		m.condBits = make([]*bitmap.Set, len(m.conds))
+	var built bool
+	m.idx, built = bitmap.Shared(d)
+	if built {
+		m.rec.BitmapBuilds(m.idx.NumBitmaps())
+	} else {
+		m.rec.BitmapIndexReuse()
 	}
+	m.condBits = make([]*bitmap.Set, len(m.conds))
 	list := topk.New(cfg.TopK, cfg.MinQuality).WithRecorder(cfg.Metrics).WithTracer(cfg.Trace)
 
 	var err error
@@ -159,8 +152,8 @@ type searcher struct {
 	cfg       Config
 	conds     []pattern.Item
 	sizes     []int
-	idx       *bitmap.Index // nil on the slice path
-	condBits  []*bitmap.Set // lazily built per-condition covers (bitmap path)
+	idx       *bitmap.Index
+	condBits  []*bitmap.Set // lazily built per-condition covers
 	evaluated int
 	rec       *metrics.Recorder
 	tr        *trace.Tracer
@@ -169,8 +162,7 @@ type searcher struct {
 // beamEntry is one subgroup on the beam.
 type beamEntry struct {
 	set     pattern.Itemset
-	view    dataset.View // slice path cover
-	bits    *bitmap.Set  // bitmap path cover
+	bits    *bitmap.Set
 	quality float64
 }
 
@@ -182,7 +174,6 @@ type candidate struct {
 	set    pattern.Itemset
 	key    string
 	// filled by the parallel counting stage
-	view  dataset.View
 	bits  *bitmap.Set
 	count int
 	sup   pattern.Supports
@@ -207,13 +198,7 @@ func (m *searcher) condBitmap(i int) *bitmap.Set {
 
 // mineTarget runs one beam search with group g as the target.
 func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error {
-	root := beamEntry{set: pattern.NewItemset()}
-	if m.idx != nil {
-		root.bits = m.idx.All()
-	} else {
-		root.view = m.d.All()
-	}
-	beam := []beamEntry{root}
+	beam := []beamEntry{{set: pattern.NewItemset(), bits: m.idx.All()}}
 	for level := 1; level <= m.cfg.Depth; level++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -271,7 +256,7 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 					emitted++
 				}
 			}
-			next = append(next, beamEntry{set: c.set, view: c.view, bits: c.bits, quality: q})
+			next = append(next, beamEntry{set: c.set, bits: c.bits, quality: q})
 		}
 		// Keep the top BeamWidth by quality (deterministic tie-break).
 		sort.Slice(next, func(i, j int) bool {
@@ -290,30 +275,19 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 }
 
 // countAll fills each candidate's cover and supports, fanning out over
-// cfg.Workers. On the bitmap path the per-condition bitmaps are built
-// up-front (serially, so the lazy cache stays race-free).
+// cfg.Workers. The per-condition bitmaps are built up-front (serially, so
+// the lazy cache stays race-free).
 func (m *searcher) countAll(beam []beamEntry, cands []candidate) {
-	if m.idx != nil {
-		for i := range cands {
-			m.condBitmap(cands[i].cond)
-		}
+	for i := range cands {
+		m.condBitmap(cands[i].cond)
 	}
 	count := func(c *candidate) {
-		if m.idx != nil {
-			c.bits = beam[c.parent].bits.And(m.condBits[c.cond])
-			counts := m.idx.GroupCounts(c.bits)
-			for _, n := range counts {
-				c.count += n
-			}
-			c.sup = pattern.CountsToSupports(counts, m.sizes)
-			return
+		c.bits = beam[c.parent].bits.And(m.condBits[c.cond])
+		counts := m.idx.GroupCounts(c.bits)
+		for _, n := range counts {
+			c.count += n
 		}
-		cond := m.conds[c.cond]
-		c.view = beam[c.parent].view.Filter(func(row int) bool {
-			return cond.Matches(m.d, row)
-		})
-		c.count = c.view.Len()
-		c.sup = pattern.CountsToSupports(c.view.GroupCounts(), m.sizes)
+		c.sup = pattern.CountsToSupports(counts, m.sizes)
 	}
 	workers := m.cfg.Workers
 	if workers > len(cands) {

@@ -61,8 +61,6 @@ type (
 	Validation = core.Validation
 	// OEMode selects the optimistic-estimate variant.
 	OEMode = core.OEMode
-	// CountingMode selects the support-counting engine (bitmap or slice).
-	CountingMode = core.CountingMode
 
 	// MetricsRecorder is the concurrency-safe instrumentation sink the
 	// miner, top-k list and stream monitor report into when
@@ -132,17 +130,6 @@ const (
 	OEModePaper = core.OEModePaper
 	// OEModeConservative stays admissible under ties.
 	OEModeConservative = core.OEModeConservative
-)
-
-// Support-counting engines (Config.Counting). Both produce identical
-// results; the knob exists for A/B benchmarking.
-const (
-	// CountingAuto (default) resolves to the bitmap engine.
-	CountingAuto = core.CountingAuto
-	// CountingBitmap counts supports with per-value bitmaps + popcounts.
-	CountingBitmap = core.CountingBitmap
-	// CountingSlice is the original row-index-slice path.
-	CountingSlice = core.CountingSlice
 )
 
 // NewBuilder starts building a dataset.
