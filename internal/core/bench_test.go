@@ -77,7 +77,7 @@ func BenchmarkMergeHeavy(b *testing.B) {
 	cfg.defaults()
 	cfg.Delta = 0.001
 	sizes := []int{6000, 6000}
-	r := &sdadRun{cfg: &cfg, alpha: cfg.Alpha, sizes: sizes}
+	r := &sdadRun{cfg: &cfg, sig: newSignificance(cfg.Alpha, len(sizes)), sizes: sizes}
 	spaces := mergeChain(64, []int{60, 6}, sizes, &cfg)
 	b.ReportAllocs()
 	b.ResetTimer()

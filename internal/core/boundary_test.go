@@ -52,7 +52,7 @@ func TestExploreBoundaryRowsExcluded(t *testing.T) {
 		cfg:       &cfg,
 		prune:     cfg.pruning(),
 		contAttrs: []int{0},
-		alpha:     cfg.Alpha,
+		sig:       newSignificance(cfg.Alpha, d.NumGroups()),
 		threshold: cfg.scoreFloor(),
 		memo:      newSupportMemo(d),
 		table:     make(pruneTable),

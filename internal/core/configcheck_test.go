@@ -187,7 +187,7 @@ func TestSDADRunCancelledContext(t *testing.T) {
 		cfg:       &cfg,
 		prune:     AllPruning(),
 		contAttrs: []int{0, 1, 2},
-		alpha:     cfg.Alpha,
+		sig:       newSignificance(cfg.Alpha, d.NumGroups()),
 		memo:      newSupportMemo(d),
 		table:     make(pruneTable),
 		sizes:     d.GroupSizes(),

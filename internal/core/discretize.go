@@ -31,7 +31,7 @@ func JointDiscretize(d *dataset.Dataset, contAttrs []int, context pattern.Itemse
 		cfg:       &cfg,
 		prune:     cfg.pruning(),
 		contAttrs: contAttrs,
-		alpha:     cfg.Alpha,
+		sig:       newSignificance(cfg.Alpha, d.NumGroups()),
 		threshold: cfg.scoreFloor(),
 		memo:      newSupportMemo(d),
 		table:     make(pruneTable),

@@ -36,7 +36,7 @@ func TestMergeChainCollapses(t *testing.T) {
 	cfg := Config{}
 	cfg.defaults()
 	sizes := []int{300, 300}
-	r := &sdadRun{cfg: &cfg, alpha: cfg.Alpha, sizes: sizes, rec: rec}
+	r := &sdadRun{cfg: &cfg, sig: newSignificance(cfg.Alpha, len(sizes)), sizes: sizes, rec: rec}
 
 	const n = 12
 	got := r.merge(mergeChain(n, []int{20, 2}, sizes, &cfg))
@@ -73,7 +73,7 @@ func TestMergeKeepsDissimilarSplit(t *testing.T) {
 	cfg := Config{}
 	cfg.defaults()
 	sizes := []int{300, 300}
-	r := &sdadRun{cfg: &cfg, alpha: cfg.Alpha, sizes: sizes}
+	r := &sdadRun{cfg: &cfg, sig: newSignificance(cfg.Alpha, len(sizes)), sizes: sizes}
 
 	mk := func(lo, hi float64, counts []int) pattern.Contrast {
 		sup := pattern.CountsToSupports(counts, sizes)

@@ -78,16 +78,16 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		// Depth-first ablation: the per-level candidate count is unknown
 		// up front, so the Bonferroni adjustment can only use the level-1
 		// width — one of the paper's arguments for levelwise search.
-		alpha := schedule.LevelAlpha(len(frontier))
-		m.mineDFS(frontier, attrs, 1, alpha)
+		sig := newSignificance(schedule.LevelAlpha(len(frontier)), d.NumGroups())
+		m.mineDFS(frontier, attrs, 1, sig)
 	} else {
 		for level := 1; level <= cfg.MaxDepth && len(frontier) > 0; level++ {
 			if err := ctx.Err(); err != nil {
 				interrupted = err
 				break
 			}
-			alpha := schedule.LevelAlpha(len(frontier))
-			survivors := m.processLevel(level, frontier, alpha)
+			sig := newSignificance(schedule.LevelAlpha(len(frontier)), d.NumGroups())
+			survivors := m.processLevel(level, frontier, sig)
 			if level == cfg.MaxDepth {
 				break
 			}
@@ -312,7 +312,7 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 // cfg.Workers > 1 (the §6 scaling strategy) — then applies the buffered
 // lookup-table inserts and top-k additions in node order, so results are
 // identical for any worker count.
-func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
+func (m *miner) processLevel(level int, frontier []node, sig significance) []node {
 	threshold := m.list.Threshold()
 	outcomes := make([]nodeOutcome, len(frontier))
 
@@ -328,7 +328,7 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			if m.cancelled() {
 				break
 			}
-			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], alpha, threshold)
+			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], sig, threshold)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -342,7 +342,7 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 						if m.cancelled() {
 							continue // keep draining so the producer never blocks
 						}
-						outcomes[i] = m.evaluateTimed(level, worker, frontier[i], alpha, threshold)
+						outcomes[i] = m.evaluateTimed(level, worker, frontier[i], sig, threshold)
 					}
 				}
 				if m.cfg.PprofLabels {
@@ -393,12 +393,12 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 
 // evaluateTimed wraps evaluate with the per-node latency observation; the
 // disabled-recorder path skips both clock reads.
-func (m *miner) evaluateTimed(level, worker int, nd node, alpha, threshold float64) nodeOutcome {
+func (m *miner) evaluateTimed(level, worker int, nd node, sig significance, threshold float64) nodeOutcome {
 	if m.rec == nil {
-		return m.evaluate(level, worker, nd, alpha, threshold)
+		return m.evaluate(level, worker, nd, sig, threshold)
 	}
 	start := time.Now()
-	o := m.evaluate(level, worker, nd, alpha, threshold)
+	o := m.evaluate(level, worker, nd, sig, threshold)
 	m.rec.NodeEval(level, time.Since(start))
 	return o
 }
@@ -408,12 +408,12 @@ func (m *miner) evaluateTimed(level, worker int, nd node, alpha, threshold float
 // top-k additions apply immediately. Covers are recycled at the same
 // points as the levelwise order: inside expand for explored nodes, right
 // here for dead ends and max-depth leaves.
-func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha float64) {
+func (m *miner) mineDFS(nodes []node, attrs []int, level int, sig significance) {
 	for _, nd := range nodes {
 		if m.cancelled() {
 			return
 		}
-		o := m.evaluateTimed(level, 0, nd, alpha, m.list.Threshold())
+		o := m.evaluateTimed(level, 0, nd, sig, m.list.Threshold())
 		m.stats.add(o.stats)
 		for _, c := range o.contrasts {
 			m.list.Add(c)
@@ -422,7 +422,7 @@ func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha float64) {
 			m.table[key] = struct{}{}
 		}
 		if o.survived && level < m.cfg.MaxDepth {
-			m.mineDFS(m.expand([]node{nd}, attrs), attrs, level+1, alpha)
+			m.mineDFS(m.expand([]node{nd}, attrs), attrs, level+1, sig)
 		} else if nd.owned {
 			m.arena.Put(nd.bits)
 		}
@@ -434,9 +434,9 @@ func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha float64) {
 // mutable state (it runs concurrently); memo access is the one exception,
 // guarded by supportMemo's mutex (internal/core/prune.go) — all shared
 // access goes through supportMemo.supports, which locks around its cache.
-func (m *miner) evaluate(level, worker int, nd node, alpha, threshold float64) nodeOutcome {
+func (m *miner) evaluate(level, worker int, nd node, sig significance, threshold float64) nodeOutcome {
 	if len(nd.contAttrs) == 0 {
-		return m.evaluateCategorical(level, worker, nd, alpha)
+		return m.evaluateCategorical(level, worker, nd, sig)
 	}
 	run := &sdadRun{
 		ctx:       m.ctx,
@@ -444,7 +444,7 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, threshold float64) n
 		cfg:       m.cfg,
 		prune:     m.prune,
 		contAttrs: nd.contAttrs,
-		alpha:     alpha,
+		sig:       sig,
 		threshold: threshold,
 		memo:      m.memo,
 		table:     m.table,
@@ -495,7 +495,7 @@ func (m *miner) groupCounts(nd node) []int {
 }
 
 // evaluateCategorical handles a categorical-only node (STUCCO semantics).
-func (m *miner) evaluateCategorical(level, worker int, nd node, alpha float64) nodeOutcome {
+func (m *miner) evaluateCategorical(level, worker int, nd node, sig significance) nodeOutcome {
 	var o nodeOutcome
 	if m.prune.LookupTable {
 		if subKey, hit := m.table.prunedSubset(nd.catSet); hit {
@@ -514,7 +514,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha float64) n
 	if m.tr.Enabled() {
 		m.tr.Node(level, worker, nd.catSet.Key(), sup.TotalCount(), counts)
 	}
-	dec := evaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, alpha,
+	dec := evaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, sig,
 		m.d.Rows(), m.memo.supports, m.rec, m.tr, level, worker)
 	if dec.record && m.prune.LookupTable {
 		o.inserts = append(o.inserts, nd.catSet.Key())
@@ -525,7 +525,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha float64) n
 	}
 	o.survived = !dec.skipChildren
 	if !dec.skipContrast && sup.MaxDiff() > m.cfg.Delta {
-		if test, err := stats.ChiSquare2xK(sup.Count, m.sizes); err == nil && test.P < alpha {
+		if test, err := stats.ChiSquare2xK(sup.Count, m.sizes); err == nil && test.P < sig.alpha {
 			if m.tr.Enabled() {
 				m.tr.Emit(level, worker, nd.catSet.Key(),
 					m.cfg.Measure.Eval(sup), test.Statistic, test.P, counts)
@@ -540,7 +540,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha float64) n
 		} else if m.tr.Enabled() {
 			// Large but not significant: the decision the explain path
 			// reports for patterns that never reached the candidate stream.
-			m.tr.Prune(level, worker, nd.catSet.Key(), "not_significant", test.P, alpha)
+			m.tr.Prune(level, worker, nd.catSet.Key(), "not_significant", test.P, sig.alpha)
 		}
 	} else if !dec.skipContrast && m.tr.Enabled() {
 		m.tr.Prune(level, worker, nd.catSet.Key(), "not_large", sup.MaxDiff(), m.cfg.Delta)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/metrics"
 	"sdadcs/internal/pattern"
@@ -61,6 +62,20 @@ type pruneDecision struct {
 	record bool
 }
 
+// significance is the test level in force for one level of the search:
+// the Bonferroni-adjusted α and the chi-square critical value at α that
+// the optimistic-estimate rule compares against. The critical value is a
+// bisection over the chi-square CDF, so it is computed once per level, not
+// once per space.
+type significance struct {
+	alpha float64
+	crit  float64 // χ²_{1−α} with groups−1 degrees of freedom
+}
+
+func newSignificance(alpha float64, groups int) significance {
+	return significance{alpha: alpha, crit: stats.ChiSquareQuantile(1-alpha, groups-1)}
+}
+
 // evaluatePruning applies the pruning rules to a counted space.
 //
 // sup holds the space's per-group supports; set its itemset. The CLT
@@ -73,7 +88,7 @@ type pruneDecision struct {
 // from parallel per-level workers; level/worker only annotate trace
 // events.
 func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
-	delta, alpha float64, totalRows int,
+	delta float64, sig significance, totalRows int,
 	suppOf func(pattern.Itemset) pattern.Supports,
 	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) pruneDecision {
 
@@ -101,7 +116,7 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	// CLT redundancy: the support difference is statistically the same as
 	// a subset's, so this space (and its supersets) add nothing.
 	if p.RedundancyCLT && set.Len() >= 2 {
-		if det, redundant := redundantByCLT(set, sup, alpha, suppOf); redundant {
+		if det, redundant := redundantByCLT(set, sup, sig.alpha, suppOf); redundant {
 			rec.PruneHit(metrics.PruneRedundancyCLT)
 			if tr.Enabled() {
 				tr.Prune(level, worker, set.Key(),
@@ -126,11 +141,10 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	// critical value at the current α, children cannot be significant.
 	if p.ChiSquareOE && !d.skipChildren {
 		bound := stats.ChiSquareOptimistic(sup.Count, sup.Size)
-		crit := stats.ChiSquareQuantile(1-alpha, len(sup.Size)-1)
-		if bound < crit {
+		if bound < sig.crit {
 			rec.PruneHit(metrics.PruneChiSquareOE)
 			if tr.Enabled() {
-				tr.Prune(level, worker, set.Key(), metrics.PruneChiSquareOE.String(), bound, crit)
+				tr.Prune(level, worker, set.Key(), metrics.PruneChiSquareOE.String(), bound, sig.crit)
 			}
 			d.skipChildren = true
 		}
@@ -224,15 +238,22 @@ func extremeGroups(sup pattern.Supports) (hi, lo int) {
 // CLT redundancy rule and the meaningfulness filters. It is safe for
 // concurrent use (parallel level mining recomputes at worst).
 type supportMemo struct {
-	d  *dataset.Dataset
-	mu sync.Mutex
+	d *dataset.Dataset
+	// index is the dataset's shared bitmap index and sizes its group
+	// sizes; both are immutable, so a miss counts without locking.
+	index *bitmap.Index
+	sizes []int
+	mu    sync.Mutex
 	// cache maps itemset keys to their supports; values are deterministic
 	// functions of the key, so racing writers are harmless.
 	cache map[string]pattern.Supports
 }
 
+// newSupportMemo returns an empty memo over d, counting on d's shared
+// bitmap index (built here if no Mine has built it yet).
 func newSupportMemo(d *dataset.Dataset) *supportMemo {
-	return &supportMemo{d: d, cache: make(map[string]pattern.Supports)}
+	ix, _ := bitmap.Shared(d)
+	return &supportMemo{d: d, index: ix, sizes: d.GroupSizes(), cache: make(map[string]pattern.Supports)}
 }
 
 func (m *supportMemo) supports(set pattern.Itemset) pattern.Supports {
@@ -243,9 +264,74 @@ func (m *supportMemo) supports(set pattern.Itemset) pattern.Supports {
 	if ok {
 		return s
 	}
-	s = pattern.SupportsOf(set, m.d.All())
+	s = pattern.CountsToSupports(m.count(set), m.sizes)
 	m.mu.Lock()
 	m.cache[key] = s
 	m.mu.Unlock()
 	return s
+}
+
+// count returns the itemset's per-group row counts over the whole dataset
+// — exactly pattern.SupportsOf(set, d.All()).Count, without the row scan
+// where the index can answer. The categorical items' value bitmaps are
+// ANDed; with no range items, the cover is popcounted against the group
+// masks. Range items are then tested column by column, on the cover's
+// rows only (or on every row when there is no categorical item), under
+// Interval.Contains's (Lo, Hi] rule, which leaves NaN uncovered; the last
+// one counts its matches per group instead of keeping them.
+func (m *supportMemo) count(set pattern.Itemset) []int {
+	counts := make([]int, len(m.sizes))
+	var cover *bitmap.Set
+	var ranges []pattern.Item
+	for _, it := range set.Items() {
+		switch {
+		case it.Kind == dataset.Continuous:
+			ranges = append(ranges, it)
+		case cover == nil:
+			cover = m.index.Value(it.Attr, it.Code)
+		default:
+			cover = cover.And(m.index.Value(it.Attr, it.Code))
+		}
+	}
+	if len(ranges) == 0 {
+		if cover == nil {
+			copy(counts, m.sizes) // the empty itemset covers every row
+		} else {
+			m.index.GroupCountsInto(cover, counts)
+		}
+		return counts
+	}
+	groups := m.d.GroupCodes()
+	var rows []int
+	if cover != nil {
+		rows = cover.Rows()
+	}
+	for i, it := range ranges {
+		col := m.d.ContColumn(it.Attr)
+		last := i == len(ranges)-1
+		if i == 0 && cover == nil {
+			for row, x := range col {
+				switch {
+				case !it.Range.Contains(x):
+				case last:
+					counts[groups[row]]++
+				default:
+					rows = append(rows, row)
+				}
+			}
+			continue
+		}
+		kept := rows[:0]
+		for _, row := range rows {
+			switch {
+			case !it.Range.Contains(col[row]):
+			case last:
+				counts[groups[row]]++
+			default:
+				kept = append(kept, row)
+			}
+		}
+		rows = kept
+	}
+	return counts
 }

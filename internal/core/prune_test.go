@@ -1,6 +1,11 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 
 	"sdadcs/internal/dataset"
@@ -57,7 +62,7 @@ func TestEvaluatePruningMinDeviation(t *testing.T) {
 	memo := newSupportMemo(d)
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All()) // ~5% support in A only
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, newSignificance(0.05, d.NumGroups()), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if !dec.skipChildren || !dec.skipContrast || !dec.record {
 		t.Errorf("low-support space should fully prune: %+v", dec)
 	}
@@ -71,7 +76,7 @@ func TestEvaluatePruningPureSpace(t *testing.T) {
 	if sup.PR() != 1 {
 		t.Fatalf("setup: PR = %v", sup.PR())
 	}
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, newSignificance(0.05, d.NumGroups()), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if !dec.skipChildren {
 		t.Error("pure space must not be extended")
 	}
@@ -88,7 +93,7 @@ func TestEvaluatePruningDisabled(t *testing.T) {
 	memo := newSupportMemo(d)
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All())
-	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(Pruning{}, set, sup, 0.1, newSignificance(0.05, d.NumGroups()), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if dec.skipChildren || dec.skipContrast || dec.record {
 		t.Errorf("disabled pruning should pass everything: %+v", dec)
 	}
@@ -164,4 +169,94 @@ func TestSupportMemoCaches(t *testing.T) {
 	if len(memo.cache) != 1 {
 		t.Errorf("cache size = %d, want 1", len(memo.cache))
 	}
+}
+
+// TestSupportMemoMatchesRowScan checks the index-backed memo against the
+// row-scan definition, pattern.SupportsOf over every row, on random mixed
+// itemsets. Continuous values sit on a coarse grid with NaN rows, and
+// range bounds are drawn from the same grid (plus ±Inf), so rows tied
+// exactly at a bound exercise both ends of the (Lo, Hi] rule.
+func TestSupportMemoMatchesRowScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 500
+	b := dataset.NewBuilder("memo")
+	grid := []float64{-1, 0, 0.5, 1, 2}
+	for c := 0; c < 3; c++ {
+		col := make([]float64, n)
+		for i := range col {
+			if rng.Intn(10) == 0 {
+				col[i] = math.NaN()
+			} else {
+				col[i] = grid[rng.Intn(len(grid))]
+			}
+		}
+		b.AddContinuous("x"+strconv.Itoa(c), col)
+	}
+	for c := 0; c < 3; c++ {
+		col := make([]string, n)
+		for i := range col {
+			col[i] = "v" + strconv.Itoa(rng.Intn(3))
+		}
+		b.AddCategorical("c"+strconv.Itoa(c), col)
+	}
+	groups := make([]string, n)
+	for i := range groups {
+		groups[i] = "g" + strconv.Itoa(rng.Intn(3))
+	}
+	d := b.SetGroups(groups).MustBuild()
+	bounds := append([]float64{math.Inf(-1), math.Inf(1)}, grid...)
+
+	memo := newSupportMemo(d)
+	for trial := 0; trial < 400; trial++ {
+		var items []pattern.Item
+		for attr := 0; attr < d.NumAttrs(); attr++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			if d.Attr(attr).Kind == dataset.Categorical {
+				items = append(items, pattern.CatItem(attr, rng.Intn(len(d.Domain(attr)))))
+				continue
+			}
+			lo, hi := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			items = append(items, pattern.RangeItem(attr, lo, hi))
+		}
+		set := pattern.NewItemset(items...)
+		want := pattern.SupportsOf(set, d.All())
+		got := memo.supports(set)
+		if !reflect.DeepEqual(got.Count, want.Count) || !reflect.DeepEqual(got.Size, want.Size) {
+			t.Fatalf("%s: memo counts %v / sizes %v, row scan %v / %v",
+				set.Key(), got.Count, got.Size, want.Count, want.Size)
+		}
+	}
+}
+
+// TestSupportMemoConcurrent shares one memo between goroutines, as the
+// per-level workers do: every caller must see the row-scan counts, with
+// no race on the cache or the shared index.
+func TestSupportMemoConcurrent(t *testing.T) {
+	d := femalePregnant(t)
+	memo := newSupportMemo(d)
+	sets := []pattern.Itemset{
+		pattern.NewItemset(item(d, "sex", "female")),
+		pattern.NewItemset(item(d, "pregnant", "yes")),
+		pattern.NewItemset(item(d, "sex", "female"), item(d, "pregnant", "yes")),
+		pattern.NewItemset(item(d, "sex", "male"), item(d, "pregnant", "no")),
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, set := range sets {
+				want := pattern.SupportsOf(set, d.All())
+				if got := memo.supports(set); !reflect.DeepEqual(got.Count, want.Count) {
+					t.Errorf("%s: memo counts %v, row scan %v", set.Key(), got.Count, want.Count)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -26,8 +26,8 @@ type sdadRun struct {
 	cfg       *Config
 	prune     Pruning
 	contAttrs []int
-	alpha     float64 // Bonferroni-adjusted level α
-	threshold float64 // current top-k minimum support (interest measure)
+	sig       significance // Bonferroni-adjusted level α and its χ² bound
+	threshold float64      // current top-k minimum support (interest measure)
 	memo      *supportMemo
 	table     pruneTable // read-only during the run
 	stats     Stats
@@ -35,6 +35,13 @@ type sdadRun struct {
 	alive     bool     // at least one space survived pruning
 	sizes     []int
 	totalRows int
+	// vals and spaceOf are explore's scratch buffers: the finite values of
+	// one attribute over the current space (for its median) and each
+	// row's space index, both sized together to the largest space seen. A
+	// run is single-goroutine and explore is done with both before it
+	// recurses, so one pair serves the whole run.
+	vals    []float64
+	spaceOf []int32
 	// rec is the optional instrumentation sink (nil = disabled); shared
 	// across concurrent runs, so only atomic operations.
 	rec *metrics.Recorder
@@ -73,24 +80,50 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	}
 
 	// partition(ca): split each attribute at the view's median, within the
-	// box's current range.
+	// box's current range. One pass per attribute gathers the finite
+	// values into the run's scratch buffer and tracks their maximum; the
+	// lower median is then selected in place.
+	n := view.Len()
+	if cap(r.vals) < n {
+		r.vals = make([]float64, 0, n)
+		r.spaceOf = make([]int32, n)
+	}
 	choices := make([][]pattern.Interval, 0, len(r.contAttrs))
+	cols := make([][]float64, len(r.contAttrs))
 	splits := 0
-	for _, attr := range r.contAttrs {
+	for k, attr := range r.contAttrs {
 		cur := currentRange(box, attr)
-		med := view.Median(attr)
-		_, hi := view.MinMax(attr)
-		if med > cur.Lo && med < hi && med < cur.Hi {
-			choices = append(choices, []pattern.Interval{
-				{Lo: cur.Lo, Hi: med},
-				{Lo: med, Hi: cur.Hi},
-			})
-			splits++
-			if r.tr.Enabled() {
-				r.tr.Split(level, r.worker, box.Key(), r.d.Attr(attr).Name,
-					med, cur.Lo, cur.Hi)
+		col := r.d.ContColumn(attr)
+		cols[k] = col
+		vals := r.vals[:0]
+		hi := math.Inf(-1)
+		for i := 0; i < n; i++ {
+			x := col[view.Row(i)]
+			if x != x { // NaN: a missing reading has no rank
+				continue
 			}
-		} else {
+			vals = append(vals, x)
+			if x > hi {
+				hi = x
+			}
+		}
+		split := false
+		if len(vals) > 0 {
+			med := dataset.Select(vals, dataset.QuantileIndex(0.5, len(vals)))
+			if med > cur.Lo && med < hi && med < cur.Hi {
+				choices = append(choices, []pattern.Interval{
+					{Lo: cur.Lo, Hi: med},
+					{Lo: med, Hi: cur.Hi},
+				})
+				split = true
+				splits++
+				if r.tr.Enabled() {
+					r.tr.Split(level, r.worker, box.Key(), r.d.Attr(attr).Name,
+						med, cur.Lo, cur.Hi)
+				}
+			}
+		}
+		if !split {
 			choices = append(choices, []pattern.Interval{cur})
 		}
 	}
@@ -110,40 +143,51 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	// any attribute — values tied exactly at the box's Lo, or beyond its
 	// Hi, which a caller-supplied view may contain — belong to no space,
 	// exactly as re-counting the recorded box would exclude them.
+	//
+	// The first pass records each row's space (−1 for none) and counts the
+	// spaces' sizes; the second scatters the rows, in view order, into one
+	// backing slice cut into per-space windows.
 	totalSpaces := 1
 	for _, ch := range choices {
 		totalSpaces *= len(ch)
 	}
 	r.rec.BoxesExplored(totalSpaces)
-	spaceRows := make([][]int, totalSpaces)
-	n := view.Len()
+	spaceOf := r.spaceOf[:n]
+	offsets := make([]int, totalSpaces+1)
 	for i := 0; i < n; i++ {
 		row := view.Row(i)
 		linear := 0
 		mult := 1
-		skip := false
-		for k, attr := range r.contAttrs {
-			ch := choices[k]
-			v := r.d.Cont(attr, row)
-			if v != v { // NaN: a missing reading belongs to no bin
-				skip = true
+		for k, ch := range choices {
+			v := cols[k][row]
+			// NaN (a missing reading) belongs to no bin, and neither does
+			// a value outside the box under (Lo, Hi] semantics.
+			if v != v || v <= ch[0].Lo || v > ch[len(ch)-1].Hi {
+				linear = -1
 				break
 			}
-			if v <= ch[0].Lo || v > ch[len(ch)-1].Hi {
-				skip = true // outside the box under (Lo, Hi] semantics
-				break
-			}
-			choice := 0
 			if len(ch) == 2 && v > ch[0].Hi {
-				choice = 1
+				linear += mult
 			}
-			linear += choice * mult
 			mult *= len(ch)
 		}
-		if skip {
-			continue
+		spaceOf[i] = int32(linear)
+		if linear >= 0 {
+			offsets[linear+1]++
 		}
-		spaceRows[linear] = append(spaceRows[linear], row)
+	}
+	for s := 1; s <= totalSpaces; s++ {
+		offsets[s] += offsets[s-1]
+	}
+	backing := make([]int, offsets[totalSpaces])
+	spaceRows := make([][]int, totalSpaces)
+	for s := range spaceRows {
+		spaceRows[s] = backing[offsets[s]:offsets[s]:offsets[s+1]]
+	}
+	for i, s := range spaceOf {
+		if s >= 0 {
+			spaceRows[s] = append(spaceRows[s], view.Row(i))
+		}
 	}
 
 	var contrasts, tentative []pattern.Contrast // D and Dtemp
@@ -212,7 +256,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	}
 
 	// Pruning rules (§4.3).
-	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha,
+	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.sig,
 		r.totalRows, r.memo.supports, r.rec, r.tr, level, r.worker)
 	if dec.record && r.prune.LookupTable {
 		r.inserts = append(r.inserts, childBox.Key())
@@ -264,10 +308,10 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	// NaN-safe gate: only a definite P < α admits; an error or a NaN
 	// P-value (degenerate table, tiny sample) must read as "not
 	// significant", never as pass.
-	if err != nil || !(test.P < r.alpha) {
+	if err != nil || !(test.P < r.sig.alpha) {
 		if r.tr.Enabled() {
 			r.tr.Prune(level, r.worker, childBox.Key(), "not_significant",
-				test.P, r.alpha)
+				test.P, r.sig.alpha)
 		}
 		return
 	}
@@ -402,7 +446,7 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 	if res, err := stats.ChiSquareTable(table); err == nil {
 		simP = res.P
 	}
-	if simP < r.alpha {
+	if simP < r.sig.alpha {
 		if r.tr.Enabled() {
 			r.tr.Merge(r.worker, merged.Key(), "reject_similarity", simP, 0)
 		}
@@ -422,7 +466,7 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 	}
 	test, err := stats.ChiSquare2xK(sup.Count, r.sizes)
 	// NaN-safe: a NaN P-value must not let a merge through.
-	if err != nil || !(test.P < r.alpha) {
+	if err != nil || !(test.P < r.sig.alpha) {
 		if r.tr.Enabled() {
 			r.tr.Merge(r.worker, merged.Key(), "reject_significance", simP, sup.MaxDiff())
 		}

@@ -71,7 +71,7 @@ func TestMergeCombinesSimilarNeighbors(t *testing.T) {
 	sizes := []int{1000, 1000}
 	run := &sdadRun{
 		cfg:   &Config{Alpha: 0.05, Delta: 0.1, Measure: pattern.SupportDiff},
-		alpha: 0.05,
+		sig:   newSignificance(0.05, len(sizes)),
 		sizes: sizes,
 	}
 	run.cfg.defaults()
@@ -116,7 +116,7 @@ func TestMergeKeepsDissimilarNeighbors(t *testing.T) {
 	sizes := []int{1000, 1000}
 	run := &sdadRun{
 		cfg:   &Config{Alpha: 0.05, Delta: 0.1, Measure: pattern.SupportDiff},
-		alpha: 0.05,
+		sig:   newSignificance(0.05, len(sizes)),
 		sizes: sizes,
 	}
 	run.cfg.defaults()
@@ -142,7 +142,7 @@ func TestMergeDeduplicates(t *testing.T) {
 	sizes := []int{100, 100}
 	run := &sdadRun{
 		cfg:   &Config{Alpha: 0.05, Delta: 0.1, Measure: pattern.SupportDiff},
-		alpha: 0.05,
+		sig:   newSignificance(0.05, len(sizes)),
 		sizes: sizes,
 	}
 	run.cfg.defaults()

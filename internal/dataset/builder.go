@@ -38,7 +38,10 @@ func (b *Builder) checkLen(n int, what string) bool {
 // NaN marks a missing reading (the UCI convention after parsing): missing
 // rows match no interval, so they are excluded from every bin of this
 // attribute, and quantiles skip them. ±Inf is rejected — an infinite
-// measurement is a data error, not a missing one.
+// measurement is a data error, not a missing one. The values slice is
+// retained, and any −0 in it is rewritten to +0 in place: the two compare
+// equal, but itemset keys encode the sign, so a median that may be either
+// zero of a tied run must have one spelling.
 func (b *Builder) AddContinuous(name string, values []float64) *Builder {
 	if !b.checkLen(len(values), name) {
 		return b
@@ -47,6 +50,9 @@ func (b *Builder) AddContinuous(name string, values []float64) *Builder {
 		if math.IsInf(v, 0) {
 			b.err = fmt.Errorf("dataset: %s row %d is infinite", name, i)
 			return b
+		}
+		if v == 0 {
+			values[i] = 0 // canonical +0
 		}
 	}
 	b.d.attrs = append(b.d.attrs, Attr{Name: name, Kind: Continuous, col: len(b.d.contCols)})
@@ -135,6 +141,7 @@ func (b *Builder) Build() (*Dataset, error) {
 	if err := b.d.Validate(); err != nil {
 		return nil, err
 	}
+	b.d.groupSizes = countGroups(b.d.groups, len(b.d.groupNames))
 	return &b.d, nil
 }
 

@@ -45,6 +45,7 @@ type Dataset struct {
 	contCols   [][]float64
 	groups     []int
 	groupNames []string
+	groupSizes []int // rows per group, counted once at build time
 	rows       int
 	// index is the acceleration-structure cache slot (see Index); it rides
 	// on the dataset so the counting engine's bitmap index is built once
@@ -113,10 +114,17 @@ func (d *Dataset) GroupIndex(name string) int {
 // Group returns the group code of a row.
 func (d *Dataset) Group(row int) int { return d.groups[row] }
 
-// GroupSizes returns the number of rows in each group.
+// GroupSizes returns the number of rows in each group. The sizes are
+// counted once when the dataset is built; each call returns a fresh copy
+// the caller may modify.
 func (d *Dataset) GroupSizes() []int {
-	sizes := make([]int, len(d.groupNames))
-	for _, g := range d.groups {
+	return append([]int(nil), d.groupSizes...)
+}
+
+// countGroups counts the rows of each of n groups.
+func countGroups(groups []int, n int) []int {
+	sizes := make([]int, n)
+	for _, g := range groups {
 		sizes[g]++
 	}
 	return sizes
@@ -233,6 +241,7 @@ func Materialize(v View) *Dataset {
 	for i := 0; i < n; i++ {
 		out.groups[i] = src.groups[v.Row(i)]
 	}
+	out.groupSizes = countGroups(out.groups, len(out.groupNames))
 	return out
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -38,5 +39,37 @@ func FuzzFromCSV(f *testing.F) {
 			t.Fatalf("round trip changed shape: %dx%d -> %dx%d",
 				d.Rows(), d.NumAttrs(), d2.Rows(), d2.NumAttrs())
 		}
+	})
+}
+
+// FuzzQuantileVsSort checks that the selection-based Quantile returns,
+// bit for bit, the element the sort-based definition picks. Each input
+// byte becomes one value on a small grid, so ties are the norm; 0xff is
+// a NaN and 0xfe a −0.
+func FuzzQuantileVsSort(f *testing.F) {
+	f.Add([]byte{}, 0.5)
+	f.Add([]byte{3}, 0.0)
+	f.Add([]byte{1, 2}, 0.5)
+	f.Add([]byte{5, 5, 5, 5, 0xff, 5}, 0.5)
+	f.Add([]byte{0, 0xfe, 0, 0xfe, 1}, 0.5)
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, 0.3)
+	f.Add([]byte{0xff, 0xff, 0xff}, 1.0)
+
+	f.Fuzz(func(t *testing.T, data []byte, q float64) {
+		if q != q {
+			return // int(NaN) is undefined; q is a caller-supplied constant
+		}
+		vals := make([]float64, len(data))
+		for i, b := range data {
+			switch b {
+			case 0xff:
+				vals[i] = math.NaN()
+			case 0xfe:
+				vals[i] = math.Copysign(0, -1)
+			default:
+				vals[i] = float64(int(b%16) - 4)
+			}
+		}
+		checkQuantileVsSort(t, vals, []float64{q, 0, 0.5, 1})
 	})
 }

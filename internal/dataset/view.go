@@ -91,8 +91,9 @@ func (v View) Median(attr int) float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of a continuous attribute
-// over the view by sorting a copy of the view's finite values; missing
-// (NaN) readings are skipped.
+// over the view: the element at index int(q·(n−1)) of the view's n finite
+// values in ascending order, found by selection over a copy; missing (NaN)
+// readings are skipped. It returns 0 when the view has no finite values.
 func (v View) Quantile(attr int, q float64) float64 {
 	vals := v.ContValues(attr)
 	finite := vals[:0]
@@ -101,23 +102,74 @@ func (v View) Quantile(attr int, q float64) float64 {
 			finite = append(finite, x)
 		}
 	}
-	vals = finite
-	if len(vals) == 0 {
+	if len(finite) == 0 {
 		return 0
 	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
+	return Select(finite, QuantileIndex(q, len(finite)))
+}
+
+// QuantileIndex returns the position of the q-quantile among n sorted
+// values: 0 for q <= 0, n−1 for q >= 1, and int(q·(n−1)) otherwise. The
+// truncation takes the lower element on ties between positions so that,
+// e.g., the median of an even-length sample is the lower-middle value: a
+// split at (−inf, median] then keeps at most ceil(n/2) rows on the left,
+// the invariant the optimistic estimate relies on.
+func QuantileIndex(q float64, n int) int {
+	switch {
+	case q <= 0:
+		return 0
+	case q >= 1:
+		return n - 1
+	default:
+		return int(q * float64(n-1))
 	}
-	if q >= 1 {
-		return vals[len(vals)-1]
+}
+
+// Select returns the k-th smallest (0-based) of vals, which must hold no
+// NaN, reordering vals in place. It is Hoare's FIND with a median-of-three
+// pivot: expected linear time, and a run of equal values stops both
+// partition scans, so heavily tied columns stay linear too. The result is
+// the value sort.Float64s would place at index k.
+func Select(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if vals[mid] < vals[lo] {
+			vals[mid], vals[lo] = vals[lo], vals[mid]
+		}
+		if vals[hi] < vals[lo] {
+			vals[hi], vals[lo] = vals[lo], vals[hi]
+		}
+		if vals[hi] < vals[mid] {
+			vals[hi], vals[mid] = vals[mid], vals[hi]
+		}
+		pivot := vals[mid]
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < pivot {
+				i++
+			}
+			for pivot < vals[j] {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i++
+				j--
+			}
+		}
+		// Now vals[lo..j] <= pivot <= vals[i..hi], and everything strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return vals[k]
+		}
 	}
-	// Use the lower element on ties between positions so that, e.g., the
-	// median of an even-length sample is the lower-middle value: a split at
-	// (−inf, median] then keeps at most ceil(n/2) rows on the left, the
-	// invariant the optimistic estimate relies on.
-	idx := int(q * float64(len(vals)-1))
-	return vals[idx]
+	return vals[k]
 }
 
 // ContValues copies the values of a continuous attribute over the view.
