@@ -76,11 +76,11 @@ func (b *Builder) AddCategorical(name string, values []string) *Builder {
 
 // AddCategoricalCoded appends a categorical attribute from pre-encoded
 // domain codes and their value table — the zero-re-encoding path used when
-// the codes already exist (a stored dataset's segments, a stream monitor's
-// scratch buffers). The codes and domain slices are retained; codes must
-// index into domain (validated by Build). Unlike AddCategorical, the
-// domain's order is preserved exactly as given, so round-trips are
-// bit-identical even when it is not first-appearance order.
+// the codes already exist (a stored dataset's segments). The codes and
+// domain slices are retained; codes must index into domain (validated by
+// Build). Unlike AddCategorical, the domain's order is preserved exactly as
+// given, so round-trips are bit-identical even when it is not
+// first-appearance order.
 func (b *Builder) AddCategoricalCoded(name string, codes []int, domain []string) *Builder {
 	if !b.checkLen(len(codes), name) {
 		return b

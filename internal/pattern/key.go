@@ -88,5 +88,9 @@ func parseKeyBound(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// ParseInt drops the sign of "-0", which keyBound writes for -0.
+	if s[0] == '-' {
+		return math.Copysign(math.Ldexp(float64(mant), exp), -1), nil
+	}
 	return math.Ldexp(float64(mant), exp), nil
 }

@@ -83,3 +83,37 @@ func TestParseKeyEmptyIsEmptySet(t *testing.T) {
 		t.Errorf("empty key parsed to %d items", len(s.Items()))
 	}
 }
+
+// FuzzParseKey checks that Key is an exact inverse of ParseKey on any key
+// ParseKey accepts: the parsed itemset's Key must parse back to items with
+// identical attributes, kinds, codes and bound bits. The seed "0@0,-0"
+// pins the sign of a -0 bound, which Key writes as "-0p-1074".
+func FuzzParseKey(f *testing.F) {
+	for _, seed := range []string{
+		"", "0@0,-0", "0=3", "2=0|5=11", "1@-inf,26.5", "3@3602879701896397p-55,inf",
+		"0@-3p-1,9p-2|4=7", "0@nan,1", "1@1p2p3,4",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		s, err := ParseKey(key)
+		if err != nil {
+			return
+		}
+		back, err := ParseKey(s.Key())
+		if err != nil {
+			t.Fatalf("ParseKey(%q) accepted, but its Key %q does not parse: %v", key, s.Key(), err)
+		}
+		a, b := s.Items(), back.Items()
+		if len(a) != len(b) {
+			t.Fatalf("key %q: %d items, its Key %q parses to %d", key, len(a), s.Key(), len(b))
+		}
+		for i := range a {
+			if a[i].Attr != b[i].Attr || a[i].Kind != b[i].Kind || a[i].Code != b[i].Code ||
+				math.Float64bits(a[i].Range.Lo) != math.Float64bits(b[i].Range.Lo) ||
+				math.Float64bits(a[i].Range.Hi) != math.Float64bits(b[i].Range.Hi) {
+				t.Fatalf("key %q item %d: %+v, its Key %q parses to %+v", key, i, a[i], s.Key(), b[i])
+			}
+		}
+	})
+}

@@ -178,7 +178,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //	DELETE /v1/jobs/{id}              cancel a job
 //	GET    /v1/jobs/{id}/result       deterministic report JSON (409 until done)
 //	GET    /v1/jobs/{id}/trace        decision trace as JSON Lines
-//	GET    /v1/jobs/{id}/explain?key= pattern provenance (core.Explain)
+//	GET    /v1/jobs/{id}/explain?key= pattern provenance (core.Explain; 400
+//	                                  for a key that does not fit the dataset)
 //	GET    /v1/metrics                serve counters + live mining snapshots
 //	                                  (?format=prometheus for text exposition)
 //	GET    /v1/metrics/prometheus     text exposition (also /metrics[/prometheus])
@@ -434,14 +435,41 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	d := j.Dataset()
+	if err := checkItems(set, d); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("key %q: %w", key, err))
+		return
+	}
 	x := core.Explain(tr, set)
 	writeJSON(w, http.StatusOK, explainResponse{
 		Key:     x.Key,
 		Verdict: x.Verdict,
 		Events:  len(x.Events),
 		Subset:  len(x.Subset),
-		Text:    strings.TrimRight(x.Format(j.Dataset()), "\n"),
+		Text:    strings.TrimRight(x.Format(d), "\n"),
 	})
+}
+
+// checkItems reports the first item of set that does not fit d: an
+// attribute index outside d, an item kind other than its attribute's, or a
+// categorical code outside the attribute's domain. Rendering such an item
+// would index past d's tables.
+func checkItems(set pattern.Itemset, d *dataset.Dataset) error {
+	for _, it := range set.Items() {
+		if it.Attr < 0 || it.Attr >= d.NumAttrs() {
+			return fmt.Errorf("attribute %d is outside the dataset's %d attributes", it.Attr, d.NumAttrs())
+		}
+		if kind := d.Attr(it.Attr).Kind; it.Kind != kind {
+			return fmt.Errorf("attribute %d is %s, the key gives a %s item", it.Attr, kind, it.Kind)
+		}
+		if it.Kind != dataset.Categorical {
+			continue
+		}
+		if n := len(d.Domain(it.Attr)); it.Code < 0 || it.Code >= n {
+			return fmt.Errorf("attribute %d has %d values, the key gives code %d", it.Attr, n, it.Code)
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -264,6 +265,28 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if ex.Key != contrasts[0].Key || ex.Verdict == "" || ex.Text == "" {
 		t.Fatalf("thin explanation: %+v", ex)
+	}
+	// Keys that parse but do not fit the dataset are the client's error.
+	// smallCSV's attribute 0 is x (continuous), attribute 1 is tool
+	// (categorical, two values).
+	for _, key := range []string{
+		"999=0",   // attribute out of range
+		"-1=0",    // negative attribute
+		"999@0,1", // range item, attribute out of range
+		"1=999",   // code outside tool's domain
+		"1=-1",    // negative code
+		"1@0,1",   // range item on a categorical attribute
+		"0=999",   // categorical item on a continuous attribute
+		"0=0",     // the same, with a code that exists elsewhere
+		"0@0,1|1=2",
+	} {
+		code, body := c.do("GET", "/v1/jobs/"+st.ID+"/explain?key="+url.QueryEscape(key), nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("explain %q: %d %s, want 400", key, code, body)
+		}
+	}
+	if code, body := c.do("GET", "/v1/jobs/"+st.ID+"/explain?key="+url.QueryEscape("0@0,1|1=1"), nil); code != http.StatusOK {
+		t.Errorf("explain of a key that fits the dataset: %d %s", code, body)
 	}
 
 	// Job listing includes it.

@@ -45,13 +45,14 @@ func assertSameContrasts(t *testing.T, what string, got, want []pattern.Contrast
 }
 
 // TestIncrementalRemineBattery is the 50-seed × 200-append battery of the
-// window re-mine over the incrementally maintained window (ring buffer,
-// double-buffered snapshot, delta-seeded bitmap index): after every
-// re-mine, Current() must be bit-identical — patterns, counts, scores, χ²,
-// tie-breaks — to a fresh core.Mine of CurrentData(), and to a core.Mine
-// of an allocating Snapshot() whose index is rebuilt from scratch. Traffic
-// is fully random (shifting domains, varying group sizes, NaN readings),
-// with re-mines during fill and after saturation.
+// window re-mine: after every re-mine, Current() must be bit-identical —
+// patterns, counts, scores, χ², tie-breaks — to a second core.Mine of
+// CurrentData(), whose bitmap index is already cached, and to a core.Mine
+// of a fresh Snapshot() with its own index. Traffic is fully random
+// (shifting domains, varying group sizes, NaN readings), with re-mines
+// during fill and after saturation. Current() and both references come
+// from Snapshot, so this battery cannot see a ring-order bug;
+// TestSnapshotIsLastWindow checks Snapshot against the appended rows.
 func TestIncrementalRemineBattery(t *testing.T) {
 	const (
 		window  = 48

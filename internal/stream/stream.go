@@ -18,7 +18,6 @@ import (
 	"math"
 	"time"
 
-	"sdadcs/internal/bitmap"
 	"sdadcs/internal/core"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
@@ -53,20 +52,18 @@ type Config struct {
 	// flicker across the largeness threshold between windows; an alerting
 	// floor keeps the event stream to changes worth acting on.
 	MinEventScore float64
-	// DisableIncrementalIndex turns off the delta-maintained bitmap index
-	// (see bitmap.DeltaIndex): every re-mine then rebuilds the index from
-	// the snapshot, as before. The incremental path is asserted
-	// bit-identical to the rebuild, so this is an escape hatch, not a
-	// correctness trade.
-	DisableIncrementalIndex bool
 	// Mining configures the underlying miner (zero value = paper
 	// defaults).
 	Mining core.Config
 }
 
+// defaultWindowSize is the window a zero Config.WindowSize selects. Both
+// defaults and Validate's cadence check resolve the zero value through it.
+const defaultWindowSize = 2000
+
 func (c *Config) defaults() {
 	if c.WindowSize == 0 {
-		c.WindowSize = 2000
+		c.WindowSize = defaultWindowSize
 	}
 	if c.MineEvery == 0 {
 		c.MineEvery = c.WindowSize / 4
@@ -126,7 +123,7 @@ func (c Config) Validate() error {
 		// it is rejected as actively malformed rather than defaulted.
 		win := c.WindowSize
 		if win == 0 {
-			win = 2000
+			win = defaultWindowSize
 		}
 		if c.MineEvery > win {
 			bad("MineEvery", c.MineEvery,
@@ -201,29 +198,6 @@ type Monitor struct {
 	curData   *dataset.Dataset
 	mines     int
 	skipped   int
-
-	// delta is the incrementally-maintained bitmap index over ring
-	// positions: Append XOR-flips the departing and arriving rows' bits,
-	// and remine materializes it into the snapshot's code space instead of
-	// rebuilding per-value bitmaps from scratch. Nil when disabled.
-	delta *bitmap.DeltaIndex
-
-	// snapBufs are the double-buffered snapshot scratch columns. remine
-	// alternates between the two so the previous snapshot dataset — which
-	// diff still reads via curData — is never overwritten while in use;
-	// only two snapshots are ever live at once. The public Snapshot method
-	// still allocates fresh copies (callers may retain them).
-	snapBufs [2]snapBuf
-	snapCur  int
-	encIdx   map[string]int // reused string→code scratch, cleared per column
-}
-
-// snapBuf holds one generation of snapshot scratch: per-column backing
-// arrays of capacity WindowSize that snapshots slice to the live count.
-type snapBuf struct {
-	cont [][]float64
-	cat  [][]int
-	grp  []int
 }
 
 // NewMonitor builds a monitor for the schema. A malformed configuration
@@ -247,21 +221,6 @@ func NewMonitor(schema Schema, cfg Config) (*Monitor, error) {
 	for i := range m.cat {
 		m.cat[i] = make([]string, cfg.WindowSize)
 	}
-	if !cfg.DisableIncrementalIndex {
-		m.delta = bitmap.NewDeltaIndex(cfg.WindowSize, len(schema.Categorical))
-	}
-	for b := range m.snapBufs {
-		m.snapBufs[b].cont = make([][]float64, len(schema.Continuous))
-		m.snapBufs[b].cat = make([][]int, len(schema.Categorical))
-		for i := range m.snapBufs[b].cont {
-			m.snapBufs[b].cont[i] = make([]float64, cfg.WindowSize)
-		}
-		for i := range m.snapBufs[b].cat {
-			m.snapBufs[b].cat[i] = make([]int, cfg.WindowSize)
-		}
-		m.snapBufs[b].grp = make([]int, cfg.WindowSize)
-	}
-	m.encIdx = make(map[string]int)
 	return m, nil
 }
 
@@ -287,8 +246,7 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 			len(cont), len(cat), len(m.schema.Continuous), len(m.schema.Categorical))
 	}
 	pos := (m.start + m.count) % m.cfg.WindowSize
-	had := m.count == m.cfg.WindowSize // pos holds the row being evicted
-	if had {
+	if m.count == m.cfg.WindowSize {
 		m.start = (m.start + 1) % m.cfg.WindowSize // evict oldest
 	} else {
 		m.count++
@@ -297,13 +255,7 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 		m.cont[i][pos] = v
 	}
 	for i, v := range cat {
-		if m.delta != nil {
-			m.delta.UpdateCat(i, pos, m.cat[i][pos], v, had)
-		}
 		m.cat[i][pos] = v
-	}
-	if m.delta != nil {
-		m.delta.UpdateGroup(pos, m.groups[pos], group, had)
 	}
 	m.groups[pos] = group
 
@@ -320,34 +272,22 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 	return m.remine()
 }
 
-// Snapshot materializes the current window as a dataset. It returns nil
-// when the window holds fewer than two groups (mining is undefined).
+// Snapshot materializes the current window as a dataset, oldest row
+// first. Every re-mine mines exactly this dataset; core.Mine builds its
+// bitmap index like any other dataset's. It returns nil when the window
+// holds fewer than two groups (mining is undefined).
 func (m *Monitor) Snapshot() *dataset.Dataset {
 	if m.count == 0 {
 		return nil
 	}
 	b := dataset.NewBuilder(m.schema.Name)
-	ordered := func(col []float64) []float64 {
-		out := make([]float64, m.count)
-		for i := 0; i < m.count; i++ {
-			out[i] = col[(m.start+i)%m.cfg.WindowSize]
-		}
-		return out
-	}
-	orderedS := func(col []string) []string {
-		out := make([]string, m.count)
-		for i := 0; i < m.count; i++ {
-			out[i] = col[(m.start+i)%m.cfg.WindowSize]
-		}
-		return out
-	}
 	for i, name := range m.schema.Continuous {
-		b.AddContinuous(name, ordered(m.cont[i]))
+		b.AddContinuous(name, inWindowOrder(m.cont[i], m.start, m.count))
 	}
 	for i, name := range m.schema.Categorical {
-		b.AddCategorical(name, orderedS(m.cat[i]))
+		b.AddCategorical(name, inWindowOrder(m.cat[i], m.start, m.count))
 	}
-	b.SetGroups(orderedS(m.groups))
+	b.SetGroups(inWindowOrder(m.groups, m.start, m.count))
 	d, err := b.Build()
 	if err != nil {
 		return nil // e.g. a single group in the window
@@ -355,72 +295,11 @@ func (m *Monitor) Snapshot() *dataset.Dataset {
 	return d
 }
 
-// encodeInto writes first-appearance-order domain codes for the window's
-// rows of ring column col into codes (scratch, sliced to count) and
-// returns the codes plus the freshly-built domain. The scratch map is
-// cleared and reused across columns; the domain is allocated fresh every
-// snapshot — it is retained by the dataset, and its size tracks distinct
-// values, not the window. The coding matches dataset.Builder's encode
-// exactly, so buffered snapshots are bit-identical to Snapshot's.
-func (m *Monitor) encodeInto(col []string, codes []int) ([]int, []string) {
-	clear(m.encIdx)
-	var domain []string
-	out := codes[:m.count]
-	for i := 0; i < m.count; i++ {
-		v := col[(m.start+i)%m.cfg.WindowSize]
-		c, ok := m.encIdx[v]
-		if !ok {
-			c = len(domain)
-			m.encIdx[v] = c
-			domain = append(domain, v)
-		}
-		out[i] = c
-	}
-	return out, domain
-}
-
-// snapshotBuffered materializes the window into the next scratch buffer
-// generation instead of allocating fresh columns — the per-re-mine
-// allocation cost stops scaling with window size (only domains and the
-// dataset shell are allocated). The previous snapshot, still referenced
-// by curData for diffing, lives in the other buffer and stays intact.
-func (m *Monitor) snapshotBuffered() *dataset.Dataset {
-	if m.count == 0 {
-		return nil
-	}
-	buf := &m.snapBufs[m.snapCur]
-	m.snapCur = 1 - m.snapCur
-	b := dataset.NewBuilder(m.schema.Name)
-	for i, name := range m.schema.Continuous {
-		out := buf.cont[i][:m.count]
-		for r := 0; r < m.count; r++ {
-			out[r] = m.cont[i][(m.start+r)%m.cfg.WindowSize]
-		}
-		b.AddContinuous(name, out)
-	}
-	for i, name := range m.schema.Categorical {
-		codes, domain := m.encodeInto(m.cat[i], buf.cat[i])
-		b.AddCategoricalCoded(name, codes, domain)
-	}
-	gcodes, gnames := m.encodeInto(m.groups, buf.grp)
-	b.SetGroupsCoded(gcodes, gnames)
-	d, err := b.Build()
-	if err != nil {
-		m.snapCur = 1 - m.snapCur // nothing retained the buffer; reuse it
-		return nil
-	}
-	return d
-}
-
-// catAttrs returns the snapshot attribute index of each delta-tracked
-// categorical column: builders add the continuous columns first, so
-// categorical column i lands at attribute len(Continuous)+i.
-func (m *Monitor) catAttrs() []int {
-	out := make([]int, len(m.schema.Categorical))
-	for i := range out {
-		out[i] = len(m.schema.Continuous) + i
-	}
-	return out
+// inWindowOrder copies the count live entries of ring column col, which
+// start at position start and wrap round its end, into a fresh slice.
+func inWindowOrder[T any](col []T, start, count int) []T {
+	out := append(make([]T, 0, count), col[start:min(start+count, len(col))]...)
+	return append(out, col[:count-len(out)]...)
 }
 
 // Current returns the patterns of the latest snapshot.
@@ -435,18 +314,10 @@ func (m *Monitor) CurrentData() *dataset.Dataset { return m.curData }
 // that cannot be mined surfaces ErrWindowNotMineable (and bumps the
 // skipped-mine stat) instead of silently reporting "no changes".
 func (m *Monitor) remine() ([]Event, error) {
-	d := m.snapshotBuffered()
+	d := m.Snapshot()
 	if d == nil {
 		m.skipped++
 		return nil, ErrWindowNotMineable
-	}
-	if m.delta != nil {
-		// Seed the snapshot's index slot with the delta-maintained index —
-		// bit-identical to the rebuild bitmap.Shared would otherwise pay
-		// for — so the mining engine finds it already built.
-		d.Index().LoadOrBuild(func() any {
-			return m.delta.Materialize(d, m.start, m.count, m.catAttrs())
-		})
 	}
 	rec := m.cfg.Mining.Metrics
 	tr := m.cfg.Mining.Trace
